@@ -26,7 +26,6 @@ let morphs = ref false
 let testability = ref false
 let no_learn = ref false
 let cost = ref "area"
-let atpg = ref "incremental"
 let out = ref ""
 
 let specs =
@@ -65,10 +64,6 @@ let specs =
     ( "--cost",
       Arg.Set_string cost,
       "KIND mapper covering cost: area|testability (default area)" );
-    ( "--atpg",
-      Arg.Set_string atpg,
-      "ENGINE ATPG strategy: incremental (one miter, assumption queries) \
-       or rebuild (one miter per fault; default incremental)" );
     ("--out", Arg.Set_string out, "FILE write the report there");
   ]
 
@@ -119,12 +114,6 @@ let cost_fn () =
   | "testability" -> Some Testability.cell_cost
   | c -> Cli_common.usage_die ~prog ("unknown --cost " ^ c)
 
-let atpg_engine () =
-  match !atpg with
-  | "incremental" -> Gate_fault.Incremental
-  | "rebuild" -> Gate_fault.Rebuild
-  | e -> Cli_common.usage_die ~prog ("unknown --atpg " ^ e)
-
 let map_bench (e : Bench_suite.entry) fam =
   let aig = e.Bench_suite.build () in
   let optimized =
@@ -164,8 +153,7 @@ let bench_report entries fams seed oc =
           else begin
             let results, summary =
               Gate_fault.analyze ~rounds:!rounds ~seed
-                ~conflict_budget:!conflict_budget ~atpg:(atpg_engine ())
-                mapped
+                ~conflict_budget:!conflict_budget mapped
             in
             if !tsv then begin
               Printf.fprintf oc "# %s %s\n" e.Bench_suite.name
@@ -188,6 +176,8 @@ let () =
   (match !synth_mode with
   | "none" | "light" | "full" -> ()
   | m -> Cli_common.usage_die ~prog ("unknown synth mode " ^ m));
+  Result.iter_error (Cli_common.usage_die ~prog)
+    (Flow.check_cut_size ~arg:"--cut-size" !cut_size);
   let seed =
     try Int64.of_string !seed
     with _ -> Cli_common.usage_die ~prog ("bad --seed " ^ !seed)

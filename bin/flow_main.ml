@@ -16,7 +16,6 @@ let families = ref "static"
 let jobs = ref 1
 let seed = ref "2026"
 let cut_size = ref 6
-let cut_engine = ref "packed"
 let max_cuts = ref 0
 let timing_map = ref false
 let po_fanout = ref 4.0
@@ -58,10 +57,6 @@ let specs =
        mapper cover selection)" );
     ("--seed", Arg.Set_string seed, "N simulation seed for verify (default 2026)");
     ("--cut-size", Arg.Set_int cut_size, "K mapper cut size (default 6)");
-    ( "--cut-engine",
-      Arg.Set_string cut_engine,
-      "E cut engine for map and the synthesis passes: packed or reference \
-       (default packed)" );
     ( "--max-cuts",
       Arg.Set_int max_cuts,
       "N mapper per-node candidate-cut bound, at least the priority-cut \
@@ -196,11 +191,10 @@ let main () =
     try Int64.of_string !seed
     with _ -> Cli_common.usage_die ~prog ("bad --seed " ^ !seed)
   in
-  let engine =
-    match Cut.engine_of_string !cut_engine with
-    | Some e -> e
-    | None -> Cli_common.usage_die ~prog ("unknown --cut-engine " ^ !cut_engine)
-  in
+  let check = Result.iter_error (Cli_common.usage_die ~prog) in
+  check (Flow.check_cut_size ~arg:"--cut-size" !cut_size);
+  if !max_cuts <> 0 then
+    check (Flow.check_max_cuts ~arg:"--max-cuts" !max_cuts);
   (* [--jobs n] with several (benchmark, family) jobs fans whole jobs
      across domains (the historic behavior); with exactly one job the
      fan-out is useless, so the domains move inside the circuit instead.
@@ -215,7 +209,6 @@ let main () =
       Flow.default_config with
       jobs = within;
       cut_size = !cut_size;
-      cut_engine = engine;
       max_cuts = (if !max_cuts > 0 then Some !max_cuts else None);
       timing = !timing_map;
       po_fanout = !po_fanout;

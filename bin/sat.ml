@@ -1,8 +1,7 @@
 (* Standalone DIMACS SAT front-end, for reproducing solver behaviour
    outside the flow:
 
-     sat solve FILE.cnf [--engine cdcl|reference] [--conflict-budget N]
-                        [--assume LIT]...
+     sat solve FILE.cnf [--conflict-budget N] [--assume LIT]...
 
    Prints the usual `s SATISFIABLE` / `s UNSATISFIABLE` / `s UNKNOWN`
    verdict plus a `v` model line or a `c core` line (the failed
@@ -10,16 +9,12 @@
    the MiniSat convention: 10 satisfiable, 20 unsatisfiable, 0 unknown. *)
 
 let prog = "sat"
-let engine = ref "cdcl"
 let budget = ref 0
 let assumes = ref []
 let anon = ref []
 
 let specs =
   [
-    ( "--engine",
-      Arg.Set_string engine,
-      "E solver engine: cdcl (default) or reference (the seed solver)" );
     ( "--conflict-budget",
       Arg.Set_int budget,
       "N stop with UNKNOWN after N conflicts (default unbounded)" );
@@ -35,19 +30,19 @@ let dimacs_of_lit l =
   let v = Solver.lit_var l + 1 in
   if Solver.lit_sign l then v else -v
 
-let run (module E : Solver.CORE) fm assumptions =
-  let module C = Cnf.Make (E) in
-  let s = E.create () in
+let run fm assumptions =
+  let module C = Cnf.Make (Solver) in
+  let s = Solver.create () in
   C.add_formula s fm;
   let conflict_budget = if !budget > 0 then !budget else max_int in
-  let r = E.solve ~assumptions ~conflict_budget s in
-  Printf.printf "c vars=%d clauses=%d engine=%s\n" fm.Cnf.fm_vars
-    (List.length fm.Cnf.fm_clauses)
-    !engine;
+  let r = Solver.solve ~assumptions ~conflict_budget s in
+  Printf.printf "c vars=%d clauses=%d\n" fm.Cnf.fm_vars
+    (List.length fm.Cnf.fm_clauses);
   Printf.printf "c conflicts=%d decisions=%d propagations=%d restarts=%d \
                  learned=%d\n"
-    (E.num_conflicts s) (E.num_decisions s) (E.num_propagations s)
-    (E.num_restarts s) (E.num_learned s);
+    (Solver.num_conflicts s) (Solver.num_decisions s)
+    (Solver.num_propagations s) (Solver.num_restarts s)
+    (Solver.num_learned s);
   match r with
   | Solver.Sat ->
       print_endline "s SATISFIABLE";
@@ -56,7 +51,7 @@ let run (module E : Solver.CORE) fm assumptions =
       for v = 0 to fm.Cnf.fm_vars - 1 do
         Buffer.add_char b ' ';
         Buffer.add_string b
-          (string_of_int (if E.model_value s v then v + 1 else -(v + 1)))
+          (string_of_int (if Solver.model_value s v then v + 1 else -(v + 1)))
       done;
       Buffer.add_string b " 0";
       print_endline (Buffer.contents b);
@@ -64,7 +59,8 @@ let run (module E : Solver.CORE) fm assumptions =
   | Solver.Unsat ->
       (if assumptions <> [] then
          let core =
-           E.unsat_core s |> List.map dimacs_of_lit |> List.map string_of_int
+           Solver.unsat_core s
+           |> List.map (fun l -> string_of_int (dimacs_of_lit l))
          in
          Printf.printf "c core %s\n" (String.concat " " core));
       print_endline "s UNSATISFIABLE";
@@ -100,10 +96,4 @@ let () =
         else Solver.neg (-d - 1))
       !assumes
   in
-  let code =
-    match !engine with
-    | "cdcl" -> run (module Solver) fm assumptions
-    | "reference" -> run (module Solver.Reference) fm assumptions
-    | e -> Cli_common.usage_die ~prog ("unknown --engine " ^ e)
-  in
-  exit code
+  exit (run fm assumptions)

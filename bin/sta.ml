@@ -62,6 +62,8 @@ let () =
   Arg.parse (Arg.align specs)
     (fun a -> Cli_common.usage_die ~prog ("unexpected argument " ^ a))
     usage;
+  Result.iter_error (Cli_common.usage_die ~prog)
+    (Flow.check_cut_size ~arg:"--cut-size" !cut_size);
   let entries = Cli_common.bench_entries ~prog !benches in
   let kinds = String.split_on_char ',' !reports in
   List.iter

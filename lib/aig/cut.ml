@@ -148,13 +148,6 @@ let compute aig ~k ~limit =
 
 type engine = Packed | Reference
 
-let engine_name = function Packed -> "packed" | Reference -> "reference"
-
-let engine_of_string = function
-  | "packed" -> Some Packed
-  | "reference" | "ref" -> Some Reference
-  | _ -> None
-
 type stats = {
   mutable built : int;
   mutable dominated : int;

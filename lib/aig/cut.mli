@@ -37,10 +37,6 @@ type engine =
   | Packed     (** flat slabs + incremental truth tables (the default) *)
   | Reference  (** legacy lists + per-cut cone walks, for differential runs *)
 
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
-(** ["packed"] / ["reference"] (also ["ref"]); [None] otherwise. *)
-
 (** Hot-path counters, accumulated by whichever subsystem owns the record
     (one per pass in the flow).  [built] counts candidate cuts accepted
     into a node's scratch set (including later-evicted ones), [dominated]

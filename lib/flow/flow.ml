@@ -7,7 +7,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Flow_error s)) fmt
 type config = {
   family : Cell_netlist.family;
   cut_size : int;
-  cut_engine : Cut.engine;
   max_cuts : int option;
   timing : bool;
   po_fanout : float;
@@ -25,7 +24,6 @@ let default_config =
   {
     family = Cell_netlist.Tg_static;
     cut_size = 6;
-    cut_engine = Cut.Packed;
     max_cuts = None;
     timing = false;
     po_fanout = 4.0;
@@ -52,6 +50,9 @@ type ctx = {
   testability : Testability.summary option;
   diags : Diag.t list;
   verified : bool option;
+  lib_cache : [ `Hit | `Miss ] option;
+  cut_stats : Cut.stats option;
+  sat_stats : Solver.stats option;
 }
 
 let init ?(family = Cell_netlist.Tg_static) ~name aig =
@@ -68,6 +69,9 @@ let init ?(family = Cell_netlist.Tg_static) ~name aig =
     testability = None;
     diags = [];
     verified = None;
+    lib_cache = None;
+    cut_stats = None;
+    sat_stats = None;
   }
 
 let diags_since before after =
@@ -112,99 +116,74 @@ let arg_family step key =
       | None -> fail "%s: unknown family %s" step.pass v)
     (arg_value step key)
 
-let arg_engine cfg step =
-  match arg_value step "engine" with
-  | None -> cfg.cut_engine
-  | Some v -> (
-      match Cut.engine_of_string v with
-      | Some e -> e
-      | None -> fail "%s: unknown engine %s (packed|reference)" step.pass v)
-
-(* The per-pass library-cache outcome is threaded to the metrics layer
-   through this domain-local box (set by [map], read by the engine wrapper
-   right after the pass returns — never across pass boundaries). *)
-let last_cache_status : [ `Hit | `Miss ] option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(* Same channel for the cut-engine hot-path counters of the pass that just
-   ran ([map] and the cut-based synthesis passes). *)
-let last_cut_stats : Cut.stats option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(* And for the SAT-solver counters of the passes that solve ([lint]'s
-   functional fallback, [fault]'s ATPG). *)
-let last_sat_stats : Solver.stats option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
 (* ---------------- passes ---------------- *)
 
-let with_aig ctx aig =
-  { ctx with aig }
+let pass_balance _cfg _step ctx = { ctx with aig = Synth.balance ctx.aig }
 
-let pass_balance _cfg _step ctx = with_aig ctx (Synth.balance ctx.aig)
-
-(* The cut-based synthesis passes accumulate the engine's counters into a
-   fresh stats record and publish it for the metrics wrapper. *)
-let with_cut_stats f =
+(* The cut-based synthesis passes accumulate the enumeration counters into a
+   fresh stats record and leave it on the context for the metrics layer. *)
+let with_cut_stats ctx f =
   let stats = Cut.stats_create () in
-  let r = f stats in
-  Domain.DLS.set last_cut_stats (Some stats);
-  r
+  let aig = f stats in
+  { ctx with aig; cut_stats = Some stats }
 
 let pass_rewrite cfg step ctx =
-  let engine = arg_engine cfg step in
-  with_aig ctx
-    (with_cut_stats (fun stats ->
-         Synth.rewrite ~zero_gain:(arg_flag step "z") ~engine ~stats
-           ~jobs:cfg.jobs ctx.aig))
+  with_cut_stats ctx (fun stats ->
+      Synth.rewrite ~zero_gain:(arg_flag step "z") ~stats ~jobs:cfg.jobs
+        ctx.aig)
 
 let pass_refactor cfg step ctx =
-  let engine = arg_engine cfg step in
-  with_aig ctx
-    (with_cut_stats (fun stats ->
-         Synth.refactor ~zero_gain:(arg_flag step "z")
-           ?cut_size:(arg_int step "cut") ~engine ~stats ~jobs:cfg.jobs
-           ctx.aig))
+  let cut_size = arg_int step "cut" in
+  (match cut_size with
+  | Some k when k < 2 -> fail "rf: cut expects at least 2, got %d" k
+  | _ -> ());
+  with_cut_stats ctx (fun stats ->
+      Synth.refactor ~zero_gain:(arg_flag step "z") ?cut_size ~stats
+        ~jobs:cfg.jobs ctx.aig)
 
-let pass_resyn2rs cfg step ctx =
-  let engine = arg_engine cfg step in
-  with_aig ctx
-    (with_cut_stats (fun stats ->
-         Synth.resyn2rs ~engine ~stats ~jobs:cfg.jobs ctx.aig))
+let pass_resyn2rs cfg _step ctx =
+  with_cut_stats ctx (fun stats -> Synth.resyn2rs ~stats ~jobs:cfg.jobs ctx.aig)
 
-let pass_light cfg step ctx =
-  let engine = arg_engine cfg step in
-  with_aig ctx
-    (with_cut_stats (fun stats ->
-         Synth.light ~engine ~stats ~jobs:cfg.jobs ctx.aig))
+let pass_light cfg _step ctx =
+  with_cut_stats ctx (fun stats -> Synth.light ~stats ~jobs:cfg.jobs ctx.aig)
 
 let pass_synth cfg step ctx =
-  let engine = arg_engine cfg step in
-  let mode =
-    match List.filter (fun (k, _) -> k <> "engine") step.args with
-    | [] -> "full"
-    | [ (m, None) ] -> m
-    | _ -> fail "synth: expects a single mode (none|light|full)"
-  in
-  match mode with
-  | "none" -> ctx
-  | "light" ->
-      with_aig ctx
-        (with_cut_stats (fun stats ->
-             Synth.light ~engine ~stats ~jobs:cfg.jobs ctx.aig))
-  | "full" ->
-      with_aig ctx
-        (with_cut_stats (fun stats ->
-             Synth.resyn2rs ~engine ~stats ~jobs:cfg.jobs ctx.aig))
-  | m -> fail "synth: unknown mode %s (none|light|full)" m
+  match step.args with
+  | [] | [ ("full", None) ] -> pass_resyn2rs cfg step ctx
+  | [ ("light", None) ] -> pass_light cfg step ctx
+  | [ ("none", None) ] -> ctx
+  | _ -> fail "synth: expects a single mode (none|light|full)"
+
+(* The mapper's value ranges, checked wherever a value enters (pass
+   argument, driver flag, served job parameter) so that a bad value is a
+   usage error naming [arg] rather than an [Invalid_argument] deep inside
+   cut enumeration. *)
+let check_cut_size ~arg k =
+  if k >= 2 && k <= 6 then Ok ()
+  else Error (Printf.sprintf "%s expects a cut size from 2 to 6, got %d" arg k)
+
+let check_max_cuts ~arg n =
+  let limit = Mapper.default_params.Mapper.cut_limit in
+  if n >= limit then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s expects at least the priority-cut limit %d, got %d"
+         arg limit n)
 
 let pass_map cfg step ctx =
   let family = Option.value (arg_family step "family") ~default:ctx.family in
-  let cut_size = Option.value (arg_int step "cut") ~default:cfg.cut_size in
+  let cut_size =
+    match arg_int step "cut" with
+    | Some k ->
+        Result.iter_error (fail "%s") (check_cut_size ~arg:"map: cut" k);
+        k
+    | None -> cfg.cut_size
+  in
   let max_cuts =
     match arg_int step "max-cuts" with
-    | Some n when n > 0 -> Some n
-    | Some _ -> fail "map: max-cuts expects a positive integer"
+    | Some n ->
+        Result.iter_error (fail "%s") (check_max_cuts ~arg:"map: max-cuts" n);
+        Some n
     | None -> cfg.max_cuts
   in
   let timing =
@@ -212,7 +191,6 @@ let pass_map cfg step ctx =
     else if arg_flag step "no-timing" then false
     else cfg.timing
   in
-  let engine = arg_engine cfg step in
   let cost =
     match arg_value step "cost" with
     | None | Some "area" -> None
@@ -220,24 +198,22 @@ let pass_map cfg step ctx =
     | Some c -> fail "map: unknown cost %s (area|testability)" c
   in
   let lib, status = Cell_lib.cached_with_status family in
-  Domain.DLS.set last_cache_status (Some status);
   let params =
     {
       Mapper.default_params with
       Mapper.cut_size;
       timing;
-      engine;
       cost;
       max_cuts;
       jobs = cfg.jobs;
     }
   in
   let mapped, stats = Mapper.map_with_stats ~params lib ctx.aig in
-  Domain.DLS.set last_cut_stats (Some stats);
   {
     ctx with
     family;
     lib = Some lib;
+    lib_cache = Some status;
     mapped = Some mapped;
     golden = Some ctx.aig;
     sta = None;
@@ -245,6 +221,7 @@ let pass_map cfg step ctx =
     fault = None;
     testability = None;
     verified = None;
+    cut_stats = Some stats;
   }
 
 let mapped_or_fail step ctx =
@@ -272,23 +249,26 @@ let lint_name step ctx ~mapped =
           if mapped then ctx.name ^ "/" ^ Cli_common.family_arg_name ctx.family
           else ctx.name)
 
+(* The passes that may call the SAT solver hand it a fresh stats record;
+   it lands on the context only when a query was actually issued. *)
+let with_sat_stats ctx stats =
+  if stats.Solver.sat_solves > 0 then { ctx with sat_stats = Some stats }
+  else ctx
+
 let pass_lint cfg step ctx =
-  let ds =
-    match ctx.mapped with
-    | Some m when not (arg_flag step "aig") ->
-        let stats = Solver.stats_create () in
-        let ds =
-          Map_lint.check
-            ~name:(lint_name step ctx ~mapped:true)
-            ?lib:ctx.lib ?golden:ctx.golden
-            ?conflict_budget:cfg.conflict_budget ~stats m
-        in
-        if stats.Solver.sat_solves > 0 then
-          Domain.DLS.set last_sat_stats (Some stats);
-        ds
-    | _ -> Aig_lint.check ~name:(lint_name step ctx ~mapped:false) ctx.aig
-  in
-  { ctx with diags = ctx.diags @ ds }
+  match ctx.mapped with
+  | Some m when not (arg_flag step "aig") ->
+      let stats = Solver.stats_create () in
+      let ds =
+        Map_lint.check
+          ~name:(lint_name step ctx ~mapped:true)
+          ?lib:ctx.lib ?golden:ctx.golden
+          ?conflict_budget:cfg.conflict_budget ~stats m
+      in
+      with_sat_stats { ctx with diags = ctx.diags @ ds } stats
+  | _ ->
+      let name = lint_name step ctx ~mapped:false in
+      { ctx with diags = ctx.diags @ Aig_lint.check ~name ctx.aig }
 
 let pass_verify cfg step ctx =
   let m = mapped_or_fail step ctx in
@@ -323,8 +303,14 @@ let pass_place _cfg step ctx =
   let m = mapped_or_fail step ctx in
   let gates = Array.length m.Mapped.instances in
   let side () = 1 + int_of_float (sqrt (float_of_int (2 * gates))) in
-  let rows = Option.value (arg_int step "rows") ~default:(side ()) in
-  let cols = Option.value (arg_int step "cols") ~default:(side ()) in
+  let dim key =
+    match arg_int step key with
+    | Some n when n <= 0 -> fail "place: %s expects a positive integer" key
+    | Some n -> n
+    | None -> side ()
+  in
+  let rows = dim "rows" in
+  let cols = dim "cols" in
   let fab = Fabric.create ~rows ~cols in
   match Fabric.place fab m with
   | Ok p -> { ctx with placement = Some p }
@@ -355,18 +341,8 @@ let pass_fault cfg step ctx =
     | Some b -> b
     | None -> Option.value cfg.conflict_budget ~default:100_000
   in
-  let atpg =
-    match arg_value step "atpg" with
-    | None | Some "incremental" -> Gate_fault.Incremental
-    | Some "rebuild" -> Gate_fault.Rebuild
-    | Some a -> fail "fault: unknown atpg %s (incremental|rebuild)" a
-  in
   let stats = Solver.stats_create () in
-  let _, summary =
-    Gate_fault.analyze ~rounds ~seed ~conflict_budget ~atpg ~stats m
-  in
-  if stats.Solver.sat_solves > 0 then
-    Domain.DLS.set last_sat_stats (Some stats);
+  let _, summary = Gate_fault.analyze ~rounds ~seed ~conflict_budget ~stats m in
   let diags =
     if summary.Gate_fault.g_unknown = 0 then ctx.diags
     else
@@ -378,7 +354,7 @@ let pass_fault cfg step ctx =
             conflict_budget;
         ]
   in
-  { ctx with fault = Some summary; diags }
+  with_sat_stats { ctx with fault = Some summary; diags } stats
 
 (* SAT equivalence of the mapping against its source AIG.  Unlike [verify]
    (random simulation) this is complete — but under a conflict budget the
@@ -398,19 +374,12 @@ let pass_cec cfg step ctx =
     | Some _ -> fail "cec: budget expects a positive integer"
     | None -> cfg.conflict_budget
   in
-  let engine =
-    match arg_value step "engine" with
-    | None | Some "cdcl" -> Cec.Cdcl
-    | Some "reference" -> Cec.Reference
-    | Some e -> fail "cec: unknown engine %s (cdcl|reference)" e
-  in
   let stats = Solver.stats_create () in
   let verdict =
-    Cec.check ~engine ?conflict_budget:budget ~seed:cfg.seed ~stats golden
+    Cec.check ?conflict_budget:budget ~seed:cfg.seed ~stats golden
       (Mapped.to_aig m)
   in
-  if stats.Solver.sat_solves > 0 then
-    Domain.DLS.set last_sat_stats (Some stats);
+  let ctx = with_sat_stats ctx stats in
   match verdict with
   | Cec.Equivalent -> { ctx with verified = Some true }
   | Cec.Inequivalent _ ->
@@ -478,7 +447,7 @@ let pass_fail _cfg step ctx =
 
 type pass_info = {
   p_doc : string;
-  p_args : string list option;  (* None = free-form (validated by the pass) *)
+  p_args : string list;
   p_apply : config -> step -> ctx -> ctx;
 }
 
@@ -486,69 +455,65 @@ let registry : (string * pass_info) list =
   [
     ( "b",
       { p_doc = "balance: minimum-depth AND-tree rebuild";
-        p_args = Some []; p_apply = pass_balance } );
+        p_args = []; p_apply = pass_balance } );
     ( "rw",
-      { p_doc = "rewrite: 4-cut DAG-aware resubstitution [z, engine=E]";
-        p_args = Some [ "z"; "engine" ]; p_apply = pass_rewrite } );
+      { p_doc = "rewrite: 4-cut DAG-aware resubstitution [z]";
+        p_args = [ "z" ]; p_apply = pass_rewrite } );
     ( "rf",
-      { p_doc = "refactor: large-cut ISOP refactoring [z, cut=K, engine=E]";
-        p_args = Some [ "z"; "cut"; "engine" ]; p_apply = pass_refactor } );
+      { p_doc = "refactor: large-cut ISOP refactoring [z, cut=K]";
+        p_args = [ "z"; "cut" ]; p_apply = pass_refactor } );
     ( "resyn2rs",
       { p_doc = "the full optimization script (b;rw;rf;b;rw;rw -z;b;rf -z;rw -z;b)";
-        p_args = Some [ "engine" ]; p_apply = pass_resyn2rs } );
+        p_args = []; p_apply = pass_resyn2rs } );
     ( "light",
       { p_doc = "the cheap optimization script (b;rw;b)";
-        p_args = Some [ "engine" ]; p_apply = pass_light } );
+        p_args = []; p_apply = pass_light } );
     ( "synth",
       { p_doc = "optimization by effort name: synth(none|light|full)";
-        p_args = None; p_apply = pass_synth } );
+        p_args = [ "none"; "light"; "full" ]; p_apply = pass_synth } );
     ( "map",
       { p_doc =
           "technology mapping [family=F, cut=K, max-cuts=N, timing, \
-           no-timing, engine=E, cost=area|testability]";
-        p_args =
-          Some
-            [ "family"; "cut"; "max-cuts"; "timing"; "no-timing"; "engine";
-              "cost" ];
+           no-timing, cost=area|testability]";
+        p_args = [ "family"; "cut"; "max-cuts"; "timing"; "no-timing"; "cost" ];
         p_apply = pass_map } );
     ( "sta",
       { p_doc = "static timing analysis of the mapping [po=N, unit]";
-        p_args = Some [ "po"; "unit" ]; p_apply = pass_sta } );
+        p_args = [ "po"; "unit" ]; p_apply = pass_sta } );
     ( "lint",
       { p_doc = "lint the mapping (or the AIG before map) [aig, tag=T, name=N]";
-        p_args = Some [ "aig"; "tag"; "name" ]; p_apply = pass_lint } );
+        p_args = [ "aig"; "tag"; "name" ]; p_apply = pass_lint } );
     ( "verify",
       { p_doc = "random-simulation equivalence of the mapping [seed=N, rounds=R]";
-        p_args = Some [ "seed"; "rounds" ]; p_apply = pass_verify } );
+        p_args = [ "seed"; "rounds" ]; p_apply = pass_verify } );
     ( "place",
       { p_doc = "place onto the Sec. 5 regular fabric [rows=R, cols=C]";
-        p_args = Some [ "rows"; "cols" ]; p_apply = pass_place } );
+        p_args = [ "rows"; "cols" ]; p_apply = pass_place } );
     ( "fault",
       { p_doc =
           "stuck-at fault simulation + SAT ATPG of the mapping [rounds=N, \
-           seed=N, budget=N, atpg=incremental|rebuild]";
-        p_args = Some [ "rounds"; "seed"; "budget"; "atpg" ];
+           seed=N, budget=N]";
+        p_args = [ "rounds"; "seed"; "budget" ];
         p_apply = pass_fault } );
     ( "testability",
       { p_doc =
           "static testability analysis: SCOAP, fault collapsing, redundancy \
            [no-learn, lint, tag=T, name=N]";
-        p_args = Some [ "no-learn"; "lint"; "tag"; "name" ];
+        p_args = [ "no-learn"; "lint"; "tag"; "name" ];
         p_apply = pass_testability } );
     ( "cec",
       { p_doc =
-          "SAT equivalence of the mapping vs its source AIG [budget=N, \
-           engine=cdcl|reference]; budget exhaustion degrades to a \
-           cec-undecided Warning";
-        p_args = Some [ "budget"; "engine" ]; p_apply = pass_cec } );
+          "SAT equivalence of the mapping vs its source AIG [budget=N]; \
+           budget exhaustion degrades to a cec-undecided Warning";
+        p_args = [ "budget" ]; p_apply = pass_cec } );
     ( "fail",
       { p_doc =
           "deliberately raise (crash-isolation fixture) [circuit=N, \
            family=F, msg=M]";
-        p_args = Some [ "circuit"; "family"; "msg" ]; p_apply = pass_fail } );
+        p_args = [ "circuit"; "family"; "msg" ]; p_apply = pass_fail } );
     ( "sleep",
       { p_doc = "sleep s seconds (wall-clock budget fixture) [s=S]";
-        p_args = Some [ "s" ]; p_apply = pass_sleep } );
+        p_args = [ "s" ]; p_apply = pass_sleep } );
   ]
 
 let passes = List.map (fun (n, i) -> (n, i.p_doc)) registry
@@ -617,17 +582,14 @@ let parse_step text =
           (String.split_on_char ' ' tail)
   in
   let step = { pass = name; args } in
-  (* validate the pass name and (where declared) the argument keys *)
-  let info = find_pass name in
-  (match info.p_args with
-  | None -> ()
-  | Some allowed ->
-      List.iter
-        (fun (k, _) ->
-          if not (List.mem k allowed) then
-            fail "%s: unknown argument %s (allowed: %s)" name k
-              (String.concat ", " allowed))
-        args);
+  (* validate the pass name and the argument keys *)
+  let allowed = (find_pass name).p_args in
+  List.iter
+    (fun (k, _) ->
+      if not (List.mem k allowed) then
+        fail "%s: unknown argument %s (allowed: %s)" name k
+          (String.concat ", " allowed))
+    args;
   step
 
 let parse_script_exn text =
@@ -683,11 +645,39 @@ let opt_changed before after =
   | None, None -> false
   | _ -> true
 
+(* One sample per executed pass: every result the pass (re)computed shows
+   up as a changed [ctx] field.  The library is fetched by the pass that
+   (re)builds the mapping, so the cache outcome rides on that change. *)
+let sample_of step ~wall ~gc before after =
+  let changed field =
+    if opt_changed (field before) (field after) then field after else None
+  in
+  {
+    sm_circuit = after.name;
+    sm_family =
+      (if after.mapped <> None then Cli_common.family_arg_name after.family
+       else "-");
+    sm_pass = step_to_string step;
+    sm_wall_s = wall;
+    sm_ands_before = Aig.num_ands before.aig;
+    sm_ands_after = Aig.num_ands after.aig;
+    sm_depth_before = Aig.depth before.aig;
+    sm_depth_after = Aig.depth after.aig;
+    sm_mapped = Option.map Mapped.stats (changed (fun c -> c.mapped));
+    sm_sta_ps = Option.map Sta.abs_delay_ps (changed (fun c -> c.sta));
+    sm_cache =
+      (if opt_changed before.mapped after.mapped then after.lib_cache
+       else None);
+    sm_cut = changed (fun c -> c.cut_stats);
+    sm_fault = changed (fun c -> c.fault);
+    sm_testability = changed (fun c -> c.testability);
+    sm_sat = changed (fun c -> c.sat_stats);
+    sm_gc = gc;
+    sm_new_diags = List.length after.diags - List.length before.diags;
+  }
+
 let run_step cfg step ctx =
   let info = find_pass step.pass in
-  Domain.DLS.set last_cache_status None;
-  Domain.DLS.set last_cut_stats None;
-  Domain.DLS.set last_sat_stats None;
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let ctx' = info.p_apply cfg step ctx in
@@ -700,67 +690,7 @@ let run_step cfg step ctx =
       gd_compactions = g1.Gc.compactions - g0.Gc.compactions;
     }
   in
-  let mapped_stats =
-    if opt_changed ctx.mapped ctx'.mapped then
-      Option.map Mapped.stats ctx'.mapped
-    else None
-  in
-  let sta_ps =
-    if opt_changed ctx.sta ctx'.sta then
-      Option.map Sta.abs_delay_ps ctx'.sta
-    else None
-  in
-  let sample =
-    {
-      sm_circuit = ctx'.name;
-      sm_family =
-        (if ctx'.mapped <> None then Cli_common.family_arg_name ctx'.family
-         else "-");
-      sm_pass = step_to_string step;
-      sm_wall_s = wall;
-      sm_ands_before = Aig.num_ands ctx.aig;
-      sm_ands_after = Aig.num_ands ctx'.aig;
-      sm_depth_before = Aig.depth ctx.aig;
-      sm_depth_after = Aig.depth ctx'.aig;
-      sm_mapped = mapped_stats;
-      sm_sta_ps = sta_ps;
-      sm_cache = Domain.DLS.get last_cache_status;
-      sm_cut = Domain.DLS.get last_cut_stats;
-      sm_fault = (if opt_changed ctx.fault ctx'.fault then ctx'.fault else None);
-      sm_testability =
-        (if opt_changed ctx.testability ctx'.testability then ctx'.testability
-         else None);
-      sm_sat = Domain.DLS.get last_sat_stats;
-      sm_gc = Some gc;
-      sm_new_diags = List.length ctx'.diags - List.length ctx.diags;
-    }
-  in
-  (ctx', sample)
-
-(* the sample recorded for a pass that crashed under isolation: nothing
-   changed except the diagnostics *)
-let crash_sample step wall before after =
-  {
-    sm_circuit = after.name;
-    sm_family =
-      (if after.mapped <> None then Cli_common.family_arg_name after.family
-       else "-");
-    sm_pass = step_to_string step;
-    sm_wall_s = wall;
-    sm_ands_before = Aig.num_ands before.aig;
-    sm_ands_after = Aig.num_ands after.aig;
-    sm_depth_before = Aig.depth before.aig;
-    sm_depth_after = Aig.depth after.aig;
-    sm_mapped = None;
-    sm_sta_ps = None;
-    sm_cache = None;
-    sm_cut = None;
-    sm_fault = None;
-    sm_testability = None;
-    sm_sat = None;
-    sm_gc = None;
-    sm_new_diags = List.length after.diags - List.length before.diags;
-  }
+  (ctx', sample_of step ~wall ~gc:(Some gc) ctx ctx')
 
 let budget_diags config step ctx wall =
   match config.pass_budget_s with
@@ -772,81 +702,52 @@ let budget_diags config step ctx wall =
       ]
   | _ -> []
 
+let exn_message = function
+  | Flow_error m | Failure m -> m
+  | e -> Printexc.to_string e
+
+(* Under [config.isolate] a raising pass becomes a Diag error and aborts
+   the rest of this pipeline (later passes would observe a broken
+   context), but never the caller: the other matrix cells keep going.
+   An interrupt always propagates. *)
 let run ?(config = default_config) steps ctx =
-  if not config.isolate then begin
-    let ctx, rev_samples =
-      List.fold_left
-        (fun (ctx, acc) step ->
-          let t0 = Unix.gettimeofday () in
-          let ctx', s = run_step config step ctx in
-          let ctx' =
-            {
-              ctx' with
-              diags =
-                ctx'.diags
-                @ budget_diags config step ctx' (Unix.gettimeofday () -. t0);
-            }
-          in
-          (ctx', s :: acc))
-        (ctx, []) steps
-    in
-    (ctx, List.rev rev_samples)
-  end
-  else begin
-    (* crash isolation: a raising pass becomes a Diag error and aborts the
-       rest of this pipeline (later passes would observe a broken context),
-       but never the caller — the other matrix cells keep going *)
-    let rec go ctx acc = function
-      | [] -> (ctx, List.rev acc)
-      | step :: rest -> (
-          let t0 = Unix.gettimeofday () in
-          match run_step config step ctx with
-          | ctx', s ->
-              let ctx' =
-                {
-                  ctx' with
-                  diags =
-                    ctx'.diags
-                    @ budget_diags config step ctx'
-                        (Unix.gettimeofday () -. t0);
-                }
-              in
-              go ctx' (s :: acc) rest
-          | exception Sys.Break -> raise Sys.Break
-          | exception e ->
-              let wall = Unix.gettimeofday () -. t0 in
-              let msg =
-                match e with
-                | Flow_error m -> m
-                | Failure m -> m
-                | e -> Printexc.to_string e
-              in
-              let skipped =
-                match rest with
-                | [] -> []
-                | rest ->
-                    [
-                      Diag.infof ~rule:"flow-passes-skipped"
-                        (Diag.Circuit ctx.name)
-                        "skipped after the crash: %s"
-                        (script_to_string rest);
-                    ]
-              in
-              let ctx' =
-                {
-                  ctx with
-                  diags =
-                    ctx.diags
-                    @ Diag.errorf ~rule:"flow-pass-crash"
-                        (Diag.Circuit ctx.name) "pass %s raised: %s"
-                        (step_to_string step) msg
-                      :: skipped;
-                }
-              in
-              (ctx', List.rev (crash_sample step wall ctx ctx' :: acc)))
-    in
-    go ctx [] steps
-  end
+  let isolated = function Sys.Break -> false | _ -> config.isolate in
+  let rec go ctx acc = function
+    | [] -> (ctx, List.rev acc)
+    | step :: rest -> (
+        let t0 = Unix.gettimeofday () in
+        match run_step config step ctx with
+        | ctx', s ->
+            let wall = Unix.gettimeofday () -. t0 in
+            let over = budget_diags config step ctx' wall in
+            let ctx' = { ctx' with diags = ctx'.diags @ over } in
+            go ctx' (s :: acc) rest
+        | exception e when isolated e ->
+            let wall = Unix.gettimeofday () -. t0 in
+            let skipped =
+              match rest with
+              | [] -> []
+              | rest ->
+                  [
+                    Diag.infof ~rule:"flow-passes-skipped"
+                      (Diag.Circuit ctx.name) "skipped after the crash: %s"
+                      (script_to_string rest);
+                  ]
+            in
+            let ctx' =
+              {
+                ctx with
+                diags =
+                  ctx.diags
+                  @ Diag.errorf ~rule:"flow-pass-crash" (Diag.Circuit ctx.name)
+                      "pass %s raised: %s" (step_to_string step)
+                      (exn_message e)
+                    :: skipped;
+              }
+            in
+            (ctx', List.rev (sample_of step ~wall ~gc:None ctx ctx' :: acc)))
+  in
+  go ctx [] steps
 
 (* ---- rendering ---- *)
 
@@ -956,39 +857,23 @@ let sample_to_tsv s =
     (iopt (Option.map (fun g -> g.gd_compactions) s.sm_gc))
     s.sm_new_diags
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let samples_to_json samples =
   let b = Buffer.create 4096 in
+  let jstr v = Json_codec.to_string (Json_codec.Str v) in
+  let jnum_opt = function None -> "null" | Some f -> Printf.sprintf "%.3f" f in
   Buffer.add_string b "[\n";
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_string b ",\n";
-      let jnum_opt = function
-        | None -> "null"
-        | Some f -> Printf.sprintf "%.3f" f
-      in
       Printf.bprintf b
-        "  {\"circuit\":\"%s\",\"family\":\"%s\",\"pass\":\"%s\",\
+        "  {\"circuit\":%s,\"family\":%s,\"pass\":%s,\
          \"wall_ms\":%.3f,\"ands_in\":%d,\"ands_out\":%d,\"depth_in\":%d,\
          \"depth_out\":%d,\"gates\":%s,\"area\":%s,\"norm_delay\":%s,\
          \"abs_ps\":%s,\"sta_ps\":%s,\"cache\":%s,\"cut\":%s,\
          \"fault\":%s,\"testability\":%s,\"sat\":%s,\"gc\":%s,\
          \"new_diags\":%d}"
-        (json_escape s.sm_circuit) (json_escape s.sm_family)
-        (json_escape s.sm_pass) (1000.0 *. s.sm_wall_s) s.sm_ands_before
+        (jstr s.sm_circuit) (jstr s.sm_family) (jstr s.sm_pass)
+        (1000.0 *. s.sm_wall_s) s.sm_ands_before
         s.sm_ands_after s.sm_depth_before s.sm_depth_after
         (match s.sm_mapped with
         | Some m -> string_of_int m.Mapped.gates
@@ -1190,12 +1075,6 @@ let run_matrix ?(domains = 1) ?(config = default_config) ?on_result ~script
         | r -> r
         | exception Sys.Break -> raise Sys.Break
         | exception exn ->
-            let msg =
-              match exn with
-              | Flow_error m -> m
-              | Failure m -> m
-              | e -> Printexc.to_string e
-            in
             let ctx0 =
               init ~family:config.family ~name:e.Bench_suite.name
                 (Aig.create ())
@@ -1208,7 +1087,7 @@ let run_matrix ?(domains = 1) ?(config = default_config) ?on_result ~script
                     Diag.errorf ~rule:"flow-bench-crash"
                       (Diag.Circuit e.Bench_suite.name)
                       "benchmark failed before the flow could isolate it: %s"
-                      msg;
+                      (exn_message exn);
                   ];
               }
             in

@@ -27,7 +27,6 @@ exception Flow_error of string
 type config = {
   family : Cell_netlist.family;  (** default target of [map] *)
   cut_size : int;                (** default mapper cut size (6) *)
-  cut_engine : Cut.engine;       (** default cut engine ({!Cut.Packed}) *)
   max_cuts : int option;
       (** default mapper per-node candidate-cut scratch bound
           ({!Mapper.params.max_cuts}; [None] = exact [cut_limit²]).
@@ -73,6 +72,12 @@ type ctx = {
       (** result of the last [testability] pass *)
   diags : Diag.t list;            (** accumulated findings, oldest first *)
   verified : bool option;         (** result of the last [verify] *)
+  lib_cache : [ `Hit | `Miss ] option;
+      (** library-cache outcome of the last [map] *)
+  cut_stats : Cut.stats option;
+      (** cut-enumeration counters of the last pass that enumerated cuts *)
+  sat_stats : Solver.stats option;
+      (** SAT-solver counters of the last pass that issued solver queries *)
 }
 
 val init : ?family:Cell_netlist.family -> name:string -> Aig.t -> ctx
@@ -91,8 +96,8 @@ type step = {
 
 val parse_script : string -> (step list, string) result
 (** Splits on [;], each step [name], [name(arg,key=value,...)] or ABC-style
-    [name -flag].  Unknown pass names are reported here; argument values
-    are validated when the pass runs. *)
+    [name -flag].  Unknown pass names and argument keys are reported here;
+    argument values are validated when the pass runs. *)
 
 val parse_script_exn : string -> step list
 (** Raises {!Flow_error}. *)
@@ -107,6 +112,15 @@ val split_at_map : step list -> step list * step list
 
 val passes : (string * string) list
 (** [(name, one-line description)] of every registered pass. *)
+
+val check_cut_size : arg:string -> int -> (unit, string) result
+(** [Error msg] unless the mapper cut size is from 2 to 6; [msg] names the
+    value as [arg].  Drivers check their flags with it; the [map] pass
+    checks its [cut=K] argument. *)
+
+val check_max_cuts : arg:string -> int -> (unit, string) result
+(** [Error msg] unless the per-node candidate-cut bound is at least the
+    mapper's priority-cut limit ({!Mapper.default_params}, 12). *)
 
 (** {1 Per-pass metrics} *)
 
@@ -142,7 +156,7 @@ type sample = {
       (** static-testability summary when the pass ran the analysis *)
   sm_sat : Solver.stats option;
       (** SAT-solver effort when the pass issued solver queries ([lint]
-          cover verification and [fault] ATPG) *)
+          cover verification, [cec] and [fault] ATPG) *)
   sm_gc : gc_delta option;
       (** allocation deltas of the pass ([None] only for the crash sample
           of an isolated failing pass) *)

@@ -1,4 +1,5 @@
-(** Minimal JSON codec for the daemon's line-delimited wire protocol.
+(** Minimal JSON codec for the daemon's line-delimited wire protocol and
+    the flow's JSON metrics.
 
     Parsing never raises: malformed input — including pathological
     nesting — comes back as [Error msg].  Printing is deterministic

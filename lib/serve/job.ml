@@ -37,9 +37,15 @@ let parse_script (sub : Proto.submit) =
 (* The submitted overrides resolved against the server's defaults.  Jobs
    always run isolated (a crashing pass must degrade to a diagnostic, not
    kill the worker with a nonzero exit that would look transient) and
-   sequential (worker processes are the parallelism). *)
+   sequential (worker processes are the parallelism).  Out-of-range
+   mapper parameters are client errors. *)
 let flow_config ~(base : Flow.config) (sub : Proto.submit) =
   let p = sub.Proto.sub_params in
+  let check = Result.iter_error (reject "%s") in
+  Option.iter (fun k -> check (Flow.check_cut_size ~arg:"params.cut_size" k))
+    p.Proto.cut_size;
+  Option.iter (fun n -> check (Flow.check_max_cuts ~arg:"params.max_cuts" n))
+    p.Proto.max_cuts;
   let v dflt o = Option.value o ~default:dflt in
   {
     base with

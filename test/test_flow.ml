@@ -38,6 +38,25 @@ let test_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unbalanced parens accepted"
 
+(* the flow runs one engine per job: the oracle implementations stay
+   reachable from the library (test_cut, test_sat, test_fault) but no
+   script can select them *)
+let test_oracle_selectors_rejected () =
+  List.iter
+    (fun script ->
+      match Flow.parse_script script with
+      | Error msg ->
+          Alcotest.(check bool) (script ^ ": unknown argument") true
+            (contains ~sub:"unknown argument" msg)
+      | Ok _ -> Alcotest.failf "%s accepted" script)
+    [
+      "rw(engine=packed)";
+      "synth(light,engine=reference)";
+      "map(engine=reference)";
+      "map; cec(engine=cdcl)";
+      "map; fault(atpg=rebuild)";
+    ]
+
 let test_split_at_map () =
   let steps = Flow.parse_script_exn "b; rw; map; sta; lint" in
   let prefix, suffix = Flow.split_at_map steps in
@@ -120,6 +139,33 @@ let test_place_pass () =
   Alcotest.(check bool) "placement error surfaced as diag" true
     (ctx.Flow.placement = None && Diag.has_errors ctx.Flow.diags)
 
+(* out-of-range mapper and fabric values are argument errors naming the
+   argument, never an Invalid_argument from deep inside the pass *)
+let test_argument_ranges () =
+  List.iter
+    (fun (script, arg) ->
+      let ctx = Flow.init ~name:"a8" (adder ()) in
+      match Flow.run (Flow.parse_script_exn script) ctx with
+      | exception Flow.Flow_error msg ->
+          Alcotest.(check bool) (script ^ " names " ^ arg) true
+            (contains ~sub:arg msg)
+      | _ -> Alcotest.failf "%s accepted" script)
+    [
+      ("map(cut=1)", "cut");
+      ("map(cut=7)", "cut");
+      ("map(max-cuts=5)", "max-cuts");
+      ("rf(cut=1)", "cut");
+      ("map; place(rows=0)", "rows");
+      ("map; place(cols=-1)", "cols");
+    ];
+  (* the boundary values themselves are in range *)
+  let ctx, _ =
+    Flow.run
+      (Flow.parse_script_exn "map(cut=2,max-cuts=12)")
+      (Flow.init ~name:"a8" (adder ()))
+  in
+  Alcotest.(check bool) "in-range values map" true (ctx.Flow.mapped <> None)
+
 let test_pass_ordering_errors () =
   (match Flow.run (Flow.parse_script_exn "sta") (Flow.init ~name:"x" (adder ())) with
   | exception Flow.Flow_error _ -> ()
@@ -183,36 +229,29 @@ let test_samples () =
   let json = Flow.samples_to_json samples in
   Alcotest.(check bool) "json non-trivial" true (String.length json > 100)
 
-(* the engine argument is parsed on every cut-based pass, and the reference
-   engine produces identical results through the flow layer *)
-let test_engine_arg () =
-  let run_with script =
-    Flow.run (Flow.parse_script_exn script) (Flow.init ~name:"t481" (t481 ()))
+(* SAT effort appears on exactly the samples of the passes that solved:
+   cec proves the miter, fault's ATPG targets the faults random simulation
+   left over, and the sta that follows solves nothing *)
+let test_sat_samples () =
+  let ctx, samples =
+    Flow.run
+      (Flow.parse_script_exn "light; map; cec; fault(rounds=1); sta")
+      (Flow.init ~name:"t481" (t481 ()))
   in
-  let ctx_p, s_p = run_with "synth(light,engine=packed); map(engine=packed)" in
-  let ctx_r, s_r =
-    run_with "synth(light,engine=reference); map(engine=reference)"
+  let fault = Option.get ctx.Flow.fault in
+  Alcotest.(check bool) "faults reached ATPG" true
+    (fault.Gate_fault.g_atpg + fault.Gate_fault.g_redundant > 0);
+  let solves i =
+    match (List.nth samples i).Flow.sm_sat with
+    | Some st -> st.Solver.sat_solves
+    | None -> Alcotest.failf "sample %d has no SAT stats" i
   in
-  Alcotest.(check bool) "mapped netlists identical across engines" true
-    (ctx_p.Flow.mapped = ctx_r.Flow.mapped);
-  (* the enumeration counters instrument the packed hot path only; the
-     match-table probes are shared, and identical info lists mean identical
-     probe counts *)
-  let cut_of samples i =
-    match (List.nth samples i).Flow.sm_cut with
-    | Some c -> c
-    | None -> Alcotest.failf "sample %d has no cut stats" i
-  in
-  Alcotest.(check bool) "packed synth counted cuts" true
-    ((cut_of s_p 0).Cut.built > 0);
-  Alcotest.(check int) "reference enumeration uninstrumented" 0
-    (cut_of s_r 0).Cut.built;
-  Alcotest.(check int) "probe counts agree" (cut_of s_p 1).Cut.probes
-    (cut_of s_r 1).Cut.probes;
-  Alcotest.(check bool) "probes counted" true ((cut_of s_p 1).Cut.probes > 0);
-  match run_with "map(engine=bogus)" with
-  | exception Flow.Flow_error _ -> ()
-  | _ -> Alcotest.fail "bogus engine accepted"
+  Alcotest.(check bool) "cec solved" true (solves 2 > 0);
+  Alcotest.(check bool) "fault solved" true (solves 3 > 0);
+  Alcotest.(check bool) "sta has no SAT stats" true
+    ((List.nth samples 4).Flow.sm_sat = None);
+  Alcotest.(check bool) "map has no SAT stats" true
+    ((List.nth samples 1).Flow.sm_sat = None)
 
 (* ---- library cache ---- *)
 
@@ -457,11 +496,9 @@ let test_checkpoint_truncated () =
   Sys.remove path
 
 (* A pass that overruns the wall-clock budget degrades to a typed
-   flow-pass-budget Warning; the run itself still completes. *)
-let test_pass_budget_overrun () =
-  let config =
-    { Flow.default_config with Flow.pass_budget_s = Some 0.05 }
-  in
+   flow-pass-budget Warning; the run itself still completes, isolated or
+   not. *)
+let pass_budget_overrun config =
   let ctx, _ =
     Flow.run ~config
       (Flow.parse_script_exn "sleep(s=0.2); b")
@@ -485,6 +522,13 @@ let test_pass_budget_overrun () =
        (List.filter
           (fun (d : Diag.t) -> d.Diag.rule = "flow-pass-budget")
           ctx.Flow.diags))
+
+let test_pass_budget_overrun () =
+  List.iter
+    (fun isolate ->
+      pass_budget_overrun
+        { Flow.default_config with Flow.pass_budget_s = Some 0.05; isolate })
+    [ false; true ]
 
 (* The cec pass: equivalence proved on a clean map, conflict-budget
    exhaustion degraded to a typed cec-undecided Warning. *)
@@ -520,6 +564,8 @@ let () =
           Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "split at map" `Quick test_split_at_map;
+          Alcotest.test_case "oracle selectors rejected" `Quick
+            test_oracle_selectors_rejected;
         ] );
       ( "passes",
         [
@@ -529,13 +575,14 @@ let () =
             test_map_sta_pass_equiv_direct;
           Alcotest.test_case "verify and diags" `Quick test_verify_and_diags;
           Alcotest.test_case "place" `Quick test_place_pass;
+          Alcotest.test_case "argument ranges" `Quick test_argument_ranges;
           Alcotest.test_case "ordering errors" `Quick
             test_pass_ordering_errors;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "samples" `Quick test_samples;
-          Alcotest.test_case "engine argument" `Quick test_engine_arg;
+          Alcotest.test_case "sat samples" `Quick test_sat_samples;
         ] );
       ( "cache",
         [ Alcotest.test_case "library cache" `Quick test_library_cache ] );

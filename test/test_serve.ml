@@ -124,6 +124,11 @@ let reply_field j k = Json_codec.mem_str j k
 let reply_id j = Option.value (reply_field j "id") ~default:""
 let is_ok j = reply_field j "status" = Some "ok"
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let check_kind name expect j =
   Alcotest.(check string) name expect
     (Option.value (reply_field j "kind") ~default:"?")
@@ -133,7 +138,8 @@ let check_kind name expect j =
 let daemon_flow_base = Server.default_config.Server.flow
 
 let submit_line ?(id = "") ?(name = "job") ?(family = Cell_netlist.Tg_static)
-    ?(script = "b; rw; map; sta; lint") circuit =
+    ?(script = "b; rw; map; sta; lint") ?(params = Proto.default_params)
+    circuit =
   Proto.submit_to_line
     {
       Proto.sub_id = id;
@@ -142,7 +148,7 @@ let submit_line ?(id = "") ?(name = "job") ?(family = Cell_netlist.Tg_static)
       sub_circuit = circuit;
       sub_script = script;
       sub_family = family;
-      sub_params = Proto.default_params;
+      sub_params = params;
       sub_netlist = false;
     }
 
@@ -374,14 +380,7 @@ let test_budgets_and_cec () =
     |> List.filter_map Json_codec.str
   in
   Alcotest.(check bool) "cec-undecided diagnostic" true
-    (List.exists
-       (fun d ->
-         let n = String.length d in
-         let rec has i =
-           i + 13 <= n && (String.sub d i 13 = "cec-undecided" || has (i + 1))
-         in
-         has 0)
-       diags);
+    (List.exists (contains ~sub:"cec-undecided") diags);
   (* a script that fails to parse: deterministic typed reject, no retry *)
   let r =
     parse_reply
@@ -390,6 +389,33 @@ let test_budgets_and_cec () =
   check_kind "bad script" "parse-error" r;
   Alcotest.(check (option int)) "rejected on the first attempt" (Some 1)
     (Json_codec.mem_int r "attempts");
+  ignore (rpc c (Proto.simple_to_line "drain"));
+  close_conn c;
+  Alcotest.(check int) "clean exit" 0 (daemon_exit_code pid)
+
+(* ---- out-of-range mapper parameters: typed reject, not a crash ---- *)
+
+let test_param_ranges () =
+  with_daemon (start_daemon ~workers:1 ()) @@ fun (pid, sock) ->
+  let c = connect sock in
+  List.iter
+    (fun (id, field, params) ->
+      let r =
+        parse_reply (rpc c (submit_line ~id ~params (bench_blif "t481")))
+      in
+      check_kind (id ^ " rejected") "parse-error" r;
+      Alcotest.(check (option int)) (id ^ " not retried") (Some 1)
+        (Json_codec.mem_int r "attempts");
+      let message = Option.value (reply_field r "message") ~default:"" in
+      Alcotest.(check bool) (id ^ " names " ^ field) true
+        (contains ~sub:field message))
+    [
+      ("c1", "cut_size", { Proto.default_params with Proto.cut_size = Some 1 });
+      ("m5", "max_cuts", { Proto.default_params with Proto.max_cuts = Some 5 });
+    ];
+  (* the daemon and the connection are fine afterwards *)
+  let r = parse_reply (rpc c (submit_line ~id:"ok" (bench_blif "t481"))) in
+  Alcotest.(check bool) "in-range job still served" true (is_ok r);
   ignore (rpc c (Proto.simple_to_line "drain"));
   close_conn c;
   Alcotest.(check int) "clean exit" 0 (daemon_exit_code pid)
@@ -541,6 +567,8 @@ let () =
             test_poison_job;
           Alcotest.test_case "budgets and cec-undecided" `Quick
             test_budgets_and_cec;
+          Alcotest.test_case "out-of-range params rejected" `Quick
+            test_param_ranges;
           Alcotest.test_case "overload and oversized" `Quick
             test_overload_and_oversized;
           Alcotest.test_case "sigterm drain" `Quick test_sigterm_drain;
