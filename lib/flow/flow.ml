@@ -463,10 +463,10 @@ let registry : (string * pass_info) list =
       { p_doc = "refactor: large-cut ISOP refactoring [z, cut=K]";
         p_args = [ "z"; "cut" ]; p_apply = pass_refactor } );
     ( "resyn2rs",
-      { p_doc = "the full optimization script (b;rw;rf;b;rw;rw -z;b;rf -z;rw -z;b)";
+      { p_doc = "the full optimization script (rw;rf;b;rw;rw -z;b;rf -z;rw -z;b)";
         p_args = []; p_apply = pass_resyn2rs } );
     ( "light",
-      { p_doc = "the cheap optimization script (b;rw;b)";
+      { p_doc = "the cheap optimization script (rw;b)";
         p_args = []; p_apply = pass_light } );
     ( "synth",
       { p_doc = "optimization by effort name: synth(none|light|full)";

@@ -12,24 +12,51 @@ let of_cube c =
   | [ (i, s) ] -> Lit (i, s)
   | lits -> And (List.map (fun (i, s) -> Lit (i, s)) lits)
 
-(* Most frequent literal among cubes with >= 2 occurrences, if any. *)
+(* Literal slot [2i + 1] is [x_i], [2i] is [NOT x_i]; [bucket] is where
+   [Hashtbl.hash (i, sign)] files the literal in a 16-bucket [Hashtbl]
+   (at most 32 keys never make one resize). *)
+let bucket =
+  Array.init (2 * Tt.max_vars) (fun k ->
+      Hashtbl.hash (k lsr 1, k land 1 = 1) land 15)
+
+(* Most frequent literal among cubes with >= 2 occurrences, if any.  Ties
+   go the way a [Hashtbl.fold] over a table of literal counts meets them
+   (lower bucket first, within a bucket the literal first seen later), the
+   seed implementation's choice, so the factored forms are unchanged. *)
 let best_literal cubes =
-  let counts = Hashtbl.create 16 in
+  let count = Array.make (2 * Tt.max_vars) 0 in
+  let seen = Array.make (2 * Tt.max_vars) 0 in
+  let seq = ref 0 in
   List.iter
-    (fun c ->
-      List.iter
-        (fun lit ->
-          let n = try Hashtbl.find counts lit with Not_found -> 0 in
-          Hashtbl.replace counts lit (n + 1))
-        (Cube.literals c))
+    (fun (c : Cube.t) ->
+      (* ascending variables, as [Cube.literals] lists them *)
+      let lits = c.pos lor c.neg and i = ref 0 in
+      while 1 lsl !i <= lits do
+        let bit = 1 lsl !i in
+        if lits land bit <> 0 then begin
+          let k = (2 * !i) + (if c.pos land bit <> 0 then 1 else 0) in
+          if count.(k) = 0 then begin
+            incr seq;
+            seen.(k) <- !seq
+          end;
+          count.(k) <- count.(k) + 1
+        end;
+        incr i
+      done)
     cubes;
-  Hashtbl.fold
-    (fun lit n best ->
-      match best with
-      | Some (_, m) when m >= n -> best
-      | _ when n >= 2 -> Some (lit, n)
-      | _ -> best)
-    counts None
+  let best = ref (-1) in
+  for k = 0 to (2 * Tt.max_vars) - 1 do
+    let b = !best in
+    if
+      count.(k) >= 2
+      && (b < 0
+         || count.(k) > count.(b)
+         || count.(k) = count.(b)
+            && (bucket.(k) < bucket.(b)
+               || (bucket.(k) = bucket.(b) && seen.(k) > seen.(b))))
+    then best := k
+  done;
+  if !best < 0 then None else Some (!best lsr 1, !best land 1 = 1)
 
 let rec factor_cubes cubes =
   match cubes with
@@ -38,7 +65,7 @@ let rec factor_cubes cubes =
   | _ -> (
       match best_literal cubes with
       | None -> Or (List.map of_cube cubes)
-      | Some (((i, sign) as _lit), _) ->
+      | Some (i, sign) ->
           let with_l, without =
             List.partition
               (fun c -> if sign then Cube.has_pos c i else Cube.has_neg c i)

@@ -15,6 +15,11 @@ val isop : Tt.t -> t
 val isop_lu : Tt.t -> Tt.t -> t
 (** [isop_lu lower upper] computes an irredundant cover [f] with
     [lower <= f <= upper] (an incompletely-specified function whose
-    don't-care set is [upper AND NOT lower]). *)
+    don't-care set is [upper AND NOT lower]).  Raises [Invalid_argument]
+    if the variable counts differ or [lower] is not contained in [upper];
+    the result is checked against every bit of both bounds, so a table of
+    at most 5 variables whose word is not replicated (see {!Tt.of_words})
+    fails an assertion.  All working memory is per call, so domains may
+    call it concurrently. *)
 
 val pp : Format.formatter -> t -> unit

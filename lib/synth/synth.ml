@@ -620,9 +620,6 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
    copies; a whole-pass guard keeps every pass size-monotone. *)
 let guard pass aig =
   let out = pass aig in
-  (if Sys.getenv_opt "SYNTH_DEBUG" <> None then
-     Printf.eprintf "[synth] pass: %d -> %d ands\n%!" (Aig.num_ands aig)
-       (Aig.num_ands out));
   if Aig.num_ands out <= Aig.num_ands aig then out else aig
 
 let refactor ?zero_gain ?cut_size ?engine ?stats ?jobs aig =

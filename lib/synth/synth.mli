@@ -55,8 +55,8 @@ val refactor :
 
 val resyn2rs :
   ?engine:Cut.engine -> ?stats:Cut.stats -> ?jobs:int -> Aig.t -> Aig.t
-(** b; rw; rf; b; rw; rw -z; b; rf -z; rw -z; b. *)
+(** rw; rf; b; rw; rw -z; b; rf -z; rw -z; b. *)
 
 val light :
   ?engine:Cut.engine -> ?stats:Cut.stats -> ?jobs:int -> Aig.t -> Aig.t
-(** b; rw; b — a cheap script for quick runs. *)
+(** rw; b — a cheap script for quick runs. *)

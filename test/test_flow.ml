@@ -86,6 +86,35 @@ let test_synth_passes_equiv_direct () =
   same "synth(light)" (Synth.light aig) (via_flow "synth(light)");
   same "synth(none)" aig (via_flow "synth(none)")
 
+(* resyn2rs and light run exactly the scripts --list-passes documents for
+   them, spelled out pass by pass *)
+let test_scripts_as_documented () =
+  let blif aig script =
+    let ctx, _ =
+      Flow.run (Flow.parse_script_exn script) (Flow.init ~name:"t" aig)
+    in
+    Blif.to_string ctx.Flow.aig
+  in
+  let documented name =
+    let doc = List.assoc name Flow.passes in
+    let i = String.index doc '(' in
+    String.sub doc (i + 1) (String.rindex doc ')' - i - 1)
+  in
+  List.iter
+    (fun (name, spelled) ->
+      Alcotest.(check string) (name ^ " doc") spelled
+        (Flow.script_to_string (Flow.parse_script_exn (documented name)));
+      List.iter
+        (fun (cname, build) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s = %s on %s" name spelled cname)
+            (blif (build ()) name) (blif (build ()) spelled))
+        [ ("t481", t481); ("C1355", (Bench_suite.find "C1355").build) ])
+    [
+      ("resyn2rs", "rw; rf; b; rw; rw(z); b; rf(z); rw(z); b");
+      ("light", "rw; b");
+    ]
+
 let test_map_sta_pass_equiv_direct () =
   let aig = Synth.light (adder ()) in
   let ctx, _ =
@@ -571,6 +600,8 @@ let () =
         [
           Alcotest.test_case "synth passes = direct calls" `Quick
             test_synth_passes_equiv_direct;
+          Alcotest.test_case "scripts run as documented" `Quick
+            test_scripts_as_documented;
           Alcotest.test_case "map/sta passes = direct calls" `Quick
             test_map_sta_pass_equiv_direct;
           Alcotest.test_case "verify and diags" `Quick test_verify_and_diags;
