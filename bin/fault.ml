@@ -108,47 +108,44 @@ let catalog_report fams oc =
         per_family
   end
 
-let cost_fn () =
-  match !cost with
-  | "area" -> None
-  | "testability" -> Some Testability.cell_cost
-  | c -> Cli_common.usage_die ~prog ("unknown --cost " ^ c)
-
-let map_bench (e : Bench_suite.entry) fam =
-  let aig = e.Bench_suite.build () in
-  let optimized =
-    match !synth_mode with
-    | "none" -> aig
-    | "light" -> Synth.light aig
-    | _ -> Synth.resyn2rs aig
+(* The benchmarks are mapped by the flow's own "synth; map" script; the
+   --synth, --cut-size and --cost flags become its steps and arguments. *)
+let map_script () =
+  (* the cost name is pasted into the script: a ',' would add arguments *)
+  if String.exists (fun c -> c = ',' || c = ';') !cost then
+    Cli_common.usage_die ~prog ("unknown --cost " ^ !cost);
+  let script =
+    Printf.sprintf "%s; map(cut=%d,cost=%s)"
+      (Cli_common.synth_steps ~prog !synth_mode)
+      !cut_size !cost
   in
-  let params =
-    {
-      Mapper.default_params with
-      Mapper.cut_size = !cut_size;
-      cost = cost_fn ();
-    }
-  in
-  Mapper.map ~params (Cell_lib.cached fam) optimized
+  match Flow.parse_script script with
+  | Ok steps -> steps
+  | Error msg -> Cli_common.usage_die ~prog msg
 
-let bench_report entries fams seed oc =
-  List.iter
-    (fun (e : Bench_suite.entry) ->
+let bench_report ~script entries fams seed oc =
+  Array.iter
+    (fun (r : Flow.bench_result) ->
       List.iter
-        (fun fam ->
-          let mapped = map_bench e fam in
+        (fun (fam, (ctx : Flow.ctx), _) ->
+          let mapped = Option.get ctx.Flow.mapped in
+          let header () =
+            Printf.fprintf oc "# %s %s\n" r.Flow.br_bench
+              (Cell_netlist.family_name fam)
+          in
+          let summary_line line =
+            Printf.fprintf oc "%-10s %-12s %s\n" r.Flow.br_bench
+              (Cell_netlist.family_name fam)
+              line
+          in
           if !testability then begin
             let t = Testability.analyze ~learn:(not !no_learn) mapped in
             if !tsv then begin
-              Printf.fprintf oc "# %s %s\n" e.Bench_suite.name
-                (Cell_netlist.family_name fam);
+              header ();
               output_string oc (Testability.to_tsv mapped t);
               output_char oc '\n'
             end
-            else
-              Printf.fprintf oc "%-10s %-12s %s\n" e.Bench_suite.name
-                (Cell_netlist.family_name fam)
-                (Testability.summary_line t.Testability.summary)
+            else summary_line (Testability.summary_line t.Testability.summary)
           end
           else begin
             let results, summary =
@@ -156,28 +153,20 @@ let bench_report entries fams seed oc =
                 ~conflict_budget:!conflict_budget mapped
             in
             if !tsv then begin
-              Printf.fprintf oc "# %s %s\n" e.Bench_suite.name
-                (Cell_netlist.family_name fam);
+              header ();
               output_string oc (Gate_fault.results_tsv mapped results);
               output_char oc '\n'
             end
-            else
-              Printf.fprintf oc "%-10s %-12s %s\n" e.Bench_suite.name
-                (Cell_netlist.family_name fam)
-                (Gate_fault.summary_line summary)
+            else summary_line (Gate_fault.summary_line summary)
           end)
-        fams)
-    entries
+        r.Flow.br_per_family)
+    (Flow.run_matrix ~script ~families:fams entries)
 
 let () =
   Arg.parse (Arg.align specs)
     (fun a -> Cli_common.usage_die ~prog ("unexpected argument " ^ a))
     usage;
-  (match !synth_mode with
-  | "none" | "light" | "full" -> ()
-  | m -> Cli_common.usage_die ~prog ("unknown synth mode " ^ m));
-  Result.iter_error (Cli_common.usage_die ~prog)
-    (Flow.check_cut_size ~arg:"--cut-size" !cut_size);
+  let script = map_script () in
   let seed =
     try Int64.of_string !seed
     with _ -> Cli_common.usage_die ~prog ("bad --seed " ^ !seed)
@@ -190,5 +179,5 @@ let () =
       if !benches <> [] then begin
         let entries = Cli_common.bench_entries ~prog !benches in
         if !catalog && not !tsv then output_char oc '\n';
-        bench_report entries fams seed oc
+        bench_report ~script entries fams seed oc
       end)

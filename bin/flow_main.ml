@@ -15,14 +15,8 @@ let inputs = ref []
 let families = ref "static"
 let jobs = ref 1
 let seed = ref "2026"
-let cut_size = ref 6
-let max_cuts = ref 0
-let timing_map = ref false
-let po_fanout = ref 4.0
-let unit_loads = ref false
 let conflict_budget = ref 0
 let pass_budget = ref 0.0
-let fault_rounds = ref 32
 let no_isolate = ref false
 let checkpoint = ref ""
 let metrics = ref ""
@@ -55,33 +49,18 @@ let specs =
        Several (benchmark, family) jobs fan across domains; a single job \
        instead parallelizes within the circuit (synthesis analysis and \
        mapper cover selection)" );
-    ("--seed", Arg.Set_string seed, "N simulation seed for verify (default 2026)");
-    ("--cut-size", Arg.Set_int cut_size, "K mapper cut size (default 6)");
-    ( "--max-cuts",
-      Arg.Set_int max_cuts,
-      "N mapper per-node candidate-cut bound, at least the priority-cut \
-       limit of 12 (0 = exact cut-limit², the default); lower values trade \
-       match quality for time on pathological fanin cones" );
-    ( "--timing-map",
-      Arg.Set timing_map,
-      " map with the STA-backed load-aware delay cost" );
-    ( "--po-fanout",
-      Arg.Set_float po_fanout,
-      "N reference loads on each primary output (default 4)" );
-    ( "--unit-loads",
-      Arg.Set unit_loads,
-      " fixed FO4 delay per cell (the legacy Table 3 convention)" );
+    ( "--seed",
+      Arg.Set_string seed,
+      "N pattern seed of verify and fault unless the step sets seed=N, and \
+       of cec (default 2026)" );
     ( "--conflict-budget",
       Arg.Set_int conflict_budget,
-      "N SAT conflict cap for lint and fault ATPG (0 = default budgets; \
-       exhaustion degrades to a Warning)" );
+      "N SAT conflict cap for lint, fault ATPG and cec unless the step sets \
+       budget=N (0 = default budgets; exhaustion degrades to a Warning)" );
     ( "--pass-budget",
       Arg.Set_float pass_budget,
       "S wall-clock budget per pass in seconds; overruns add a \
        flow-pass-budget Warning (0 = off)" );
-    ( "--fault-rounds",
-      Arg.Set_int fault_rounds,
-      "N random 64-pattern rounds for the fault pass (default 32)" );
     ( "--no-isolate",
       Arg.Set no_isolate,
       " let a crashing pass abort the whole run instead of becoming a \
@@ -102,10 +81,15 @@ let specs =
 
 let usage =
   "flow [options]\n\n\
+   A pass's parameters are arguments in the script, each with its own\n\
+   default, e.g. \"synth(light); map(cut=5,timing); sta(po=2,unit)\".\n\
+   --list-passes lists every pass with its arguments and defaults.  A bad\n\
+   argument value is a usage error, reported before anything runs.\n\n\
    Exit codes:\n\
   \  0  clean run (no Error diagnostics)\n\
   \  1  findings: Error diagnostics such as lint or verification failures\n\
-  \  2  usage error (bad flag, script, family or benchmark name)\n\
+  \  2  usage error (bad flag, script, argument value, family or benchmark\n\
+  \     name)\n\
   \  3  crash: a pass or benchmark crashed and was isolated\n\
   \     (flow-pass-crash / flow-bench-crash / flow-driver-crash)\n\
   \  130 interrupted\n\nOptions:"
@@ -191,10 +175,6 @@ let main () =
     try Int64.of_string !seed
     with _ -> Cli_common.usage_die ~prog ("bad --seed " ^ !seed)
   in
-  let check = Result.iter_error (Cli_common.usage_die ~prog) in
-  check (Flow.check_cut_size ~arg:"--cut-size" !cut_size);
-  if !max_cuts <> 0 then
-    check (Flow.check_max_cuts ~arg:"--max-cuts" !max_cuts);
   (* [--jobs n] with several (benchmark, family) jobs fans whole jobs
      across domains (the historic behavior); with exactly one job the
      fan-out is useless, so the domains move inside the circuit instead.
@@ -208,17 +188,11 @@ let main () =
     {
       Flow.default_config with
       jobs = within;
-      cut_size = !cut_size;
-      max_cuts = (if !max_cuts > 0 then Some !max_cuts else None);
-      timing = !timing_map;
-      po_fanout = !po_fanout;
-      unit_loads = !unit_loads;
       seed;
       conflict_budget =
         (if !conflict_budget > 0 then Some !conflict_budget else None);
       isolate = not !no_isolate;
       pass_budget_s = (if !pass_budget > 0.0 then Some !pass_budget else None);
-      fault_rounds = !fault_rounds;
     }
   in
   let domains = if single_job then 1 else njobs in

@@ -1,6 +1,7 @@
 (* Static-timing-analysis CLI — a thin wrapper over the Flow engine.
 
    Runs the "synth; map; sta" script across the benchmark x family matrix
+   (the mapper and STA flags become that script's map and sta arguments)
    and reports load-aware arrival/required/slack times, the stage-by-stage
    critical path, per-endpoint timing, and slack histograms — human-readable
    or TSV.
@@ -62,8 +63,6 @@ let () =
   Arg.parse (Arg.align specs)
     (fun a -> Cli_common.usage_die ~prog ("unexpected argument " ^ a))
     usage;
-  Result.iter_error (Cli_common.usage_die ~prog)
-    (Flow.check_cut_size ~arg:"--cut-size" !cut_size);
   let entries = Cli_common.bench_entries ~prog !benches in
   let kinds = String.split_on_char ',' !reports in
   List.iter
@@ -72,22 +71,21 @@ let () =
       then Cli_common.usage_die ~prog ("unknown report kind " ^ k))
     kinds;
   let fams = Cli_common.parse_families ~prog !families in
+  (* %.17g prints the float back to the value the flag parsed to *)
   let script =
-    Flow.parse_script_exn
-      (Cli_common.synth_steps ~prog !synth_mode ^ "; map; sta")
+    Printf.sprintf "%s; map(cut=%d%s); sta(po=%.17g%s)"
+      (Cli_common.synth_steps ~prog !synth_mode)
+      !cut_size
+      (if !timing_map then ",timing" else "")
+      !po_fanout
+      (if !unit_loads then ",unit" else "")
   in
-  let config =
-    {
-      Flow.default_config with
-      cut_size = !cut_size;
-      timing = !timing_map;
-      po_fanout = !po_fanout;
-      unit_loads = !unit_loads;
-    }
+  let script =
+    match Flow.parse_script script with
+    | Ok steps -> steps
+    | Error msg -> Cli_common.usage_die ~prog msg
   in
-  let results =
-    Flow.run_matrix ~domains:!jobs ~config ~script ~families:fams entries
-  in
+  let results = Flow.run_matrix ~domains:!jobs ~script ~families:fams entries in
   Array.iter
     (fun (r : Flow.bench_result) ->
       List.iter

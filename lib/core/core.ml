@@ -14,8 +14,7 @@ let of_netlist_family = function
   | Cell_netlist.Pass_static -> `Pass_static
   | Cell_netlist.Cmos -> `Cmos
 
-let library ?(delay = Cell_lib.Worst) family =
-  Cell_lib.cached ~delay (netlist_family family)
+let library family = Cell_lib.cached (netlist_family family)
 
 type result = {
   original : Aig.t;

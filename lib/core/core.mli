@@ -16,8 +16,7 @@ type family = [ `Tg_static | `Tg_pseudo | `Pass_pseudo | `Pass_static | `Cmos ]
 val netlist_family : family -> Cell_netlist.family
 val of_netlist_family : Cell_netlist.family -> family
 
-val library :
-  ?delay:Cell_lib.delay_choice -> family -> Cell_lib.t
+val library : family -> Cell_lib.t
 (** The characterized match library, served from the process-wide
     {!Cell_lib.cached} cache (each family is elaborated at most once per
     process, across all drivers and {!Domain}s). *)

@@ -191,45 +191,6 @@ let scoap_of (m : Mapped.t) =
   done;
   { cc0; cc1; co; pin_co }
 
-let aig_scoap aig =
-  let n = Aig.num_nodes aig in
-  let cc0 = Array.make n inf and cc1 = Array.make n inf in
-  let co = Array.make n inf in
-  cc0.(0) <- 0.0 (* node 0 is constant false *);
-  for nd = 1 to n - 1 do
-    if Aig.is_input aig nd then begin
-      cc0.(nd) <- 1.0;
-      cc1.(nd) <- 1.0
-    end
-  done;
-  let lit_cc want l =
-    let nd = Aig.node_of l in
-    if want <> Aig.is_compl l then cc1.(nd) else cc0.(nd)
-  in
-  let ands = ref [] in
-  Aig.iter_ands aig (fun nd -> ands := nd :: !ands);
-  let ands_rev = !ands in
-  let ands_fwd = List.rev ands_rev in
-  List.iter
-    (fun nd ->
-      let f0 = Aig.fanin0 aig nd and f1 = Aig.fanin1 aig nd in
-      cc1.(nd) <- lit_cc true f0 +. lit_cc true f1 +. 1.0;
-      cc0.(nd) <- Float.min (lit_cc false f0) (lit_cc false f1) +. 1.0)
-    ands_fwd;
-  Array.iter (fun (_, l) -> co.(Aig.node_of l) <- 0.0) (Aig.outputs aig);
-  List.iter
-    (fun nd ->
-      let f0 = Aig.fanin0 aig nd and f1 = Aig.fanin1 aig nd in
-      let relax fin other =
-        let c = co.(nd) +. lit_cc true other +. 1.0 in
-        let fnd = Aig.node_of fin in
-        if c < co.(fnd) then co.(fnd) <- c
-      in
-      relax f0 f1;
-      relax f1 f0)
-    ands_rev;
-  (cc0, cc1, co)
-
 (* ---------------- COP-style detection probabilities ----------------
 
    The additive SCOAP estimates above measure deterministic justification

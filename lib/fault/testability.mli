@@ -62,12 +62,6 @@ val line_of_net : Mapped.t -> Mapped.net -> int option
 
 val scoap_of : Mapped.t -> scoap
 
-val aig_scoap : Aig.t -> float array * float array * float array
-(** [(cc0, cc1, co)] per AIG node, for the pre-mapping netlist: AND nodes
-    combine fanins the classic way, complement edges swap CC0/CC1 for
-    free.  Gives the synthesis side the same hardness signal the mapped
-    analysis gives the covering side. *)
-
 (** {1 Collapsing and redundancy} *)
 
 type reason =

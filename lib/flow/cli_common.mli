@@ -1,11 +1,17 @@
 (** Argument conventions shared by every command-line driver.
 
-    The binaries ([flow], [sta], [lint], [cntfet_map], [experiments]) accept
-    the same [--bench], [--family], [--synth] and [--cut-size] vocabulary;
-    this module is the single implementation of the name tables, the
-    comma-separated family lists (including the ["all"] shorthand) and the
-    benchmark-name resolution, with the per-binary [prog: message] + exit 2
-    error convention the original drivers used. *)
+    The binaries ([flow], [sta], [fault], [lint], [cntfet_map]) accept the
+    same [--bench], [--family] and [--synth] vocabulary; this module is the
+    single implementation of the name tables, the comma-separated family
+    lists (including the ["all"] shorthand) and the benchmark-name
+    resolution, with the per-binary [prog: message] + exit 2 error
+    convention the original drivers used.
+
+    A pass's parameters (cut size, timing mode, STA loads, rounds) are not
+    shared flags: [flow] takes them only as arguments in its script, and
+    the wrappers that keep such flags ([sta], [fault], [cntfet_map]) write
+    them into the script they run, so {!Flow.parse_script} checks every
+    value in one place. *)
 
 val family_of_name : string -> Cell_netlist.family option
 (** ["static"], ["pseudo"], ["pass-pseudo"], ["pass-static"], ["cmos"]. *)

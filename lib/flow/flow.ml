@@ -6,34 +6,20 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Flow_error s)) fmt
 
 type config = {
   family : Cell_netlist.family;
-  cut_size : int;
-  max_cuts : int option;
-  timing : bool;
-  po_fanout : float;
-  unit_loads : bool;
   seed : int64;
-  verify_rounds : int;
   conflict_budget : int option;
   isolate : bool;
   pass_budget_s : float option;
-  fault_rounds : int;
   jobs : int;
 }
 
 let default_config =
   {
     family = Cell_netlist.Tg_static;
-    cut_size = 6;
-    max_cuts = None;
-    timing = false;
-    po_fanout = 4.0;
-    unit_loads = false;
     seed = 2026L;
-    verify_rounds = 8;
     conflict_budget = None;
     isolate = false;
     pass_budget_s = None;
-    fault_rounds = 32;
     jobs = 1;
   }
 
@@ -82,6 +68,11 @@ let diags_since before after =
 
 type step = { pass : string; args : (string * string option) list }
 
+(* Every argument is read, and its value checked, when the pass is applied
+   to its step — before the pass sees a config or a context.  Parsing a
+   script forces that application, so a bad value is a script error that
+   names the argument, never a failure in the middle of a run. *)
+
 let arg_value step key =
   match List.assoc_opt key step.args with
   | Some (Some v) -> Some v
@@ -94,19 +85,17 @@ let arg_flag step key =
   | Some (Some _) -> fail "%s: %s is a flag, not key=value" step.pass key
   | None -> false
 
-let arg_int step key =
+let arg_number of_string what step key =
   Option.map
     (fun v ->
-      try int_of_string v
-      with _ -> fail "%s: %s expects an integer, got %s" step.pass key v)
+      match of_string v with
+      | Some n -> n
+      | None -> fail "%s: %s expects %s, got %s" step.pass key what v)
     (arg_value step key)
 
-let arg_float step key =
-  Option.map
-    (fun v ->
-      try float_of_string v
-      with _ -> fail "%s: %s expects a number, got %s" step.pass key v)
-    (arg_value step key)
+let arg_int = arg_number int_of_string_opt "an integer"
+let arg_int64 = arg_number Int64.of_string_opt "an integer"
+let arg_float = arg_number float_of_string_opt "a number"
 
 let arg_family step key =
   Option.map
@@ -118,7 +107,7 @@ let arg_family step key =
 
 (* ---------------- passes ---------------- *)
 
-let pass_balance _cfg _step ctx = { ctx with aig = Synth.balance ctx.aig }
+let pass_balance _step _cfg ctx = { ctx with aig = Synth.balance ctx.aig }
 
 (* The cut-based synthesis passes accumulate the enumeration counters into a
    fresh stats record and leave it on the context for the metrics layer. *)
@@ -127,69 +116,54 @@ let with_cut_stats ctx f =
   let aig = f stats in
   { ctx with aig; cut_stats = Some stats }
 
-let pass_rewrite cfg step ctx =
-  with_cut_stats ctx (fun stats ->
-      Synth.rewrite ~zero_gain:(arg_flag step "z") ~stats ~jobs:cfg.jobs
-        ctx.aig)
+let pass_rewrite step =
+  let zero_gain = arg_flag step "z" in
+  fun cfg ctx ->
+    with_cut_stats ctx (fun stats ->
+        Synth.rewrite ~zero_gain ~stats ~jobs:cfg.jobs ctx.aig)
 
-let pass_refactor cfg step ctx =
+let pass_refactor step =
+  let zero_gain = arg_flag step "z" in
   let cut_size = arg_int step "cut" in
   (match cut_size with
   | Some k when k < 2 -> fail "rf: cut expects at least 2, got %d" k
   | _ -> ());
-  with_cut_stats ctx (fun stats ->
-      Synth.refactor ~zero_gain:(arg_flag step "z") ?cut_size ~stats
-        ~jobs:cfg.jobs ctx.aig)
+  fun cfg ctx ->
+    with_cut_stats ctx (fun stats ->
+        Synth.refactor ~zero_gain ?cut_size ~stats ~jobs:cfg.jobs ctx.aig)
 
-let pass_resyn2rs cfg _step ctx =
+let pass_resyn2rs _step cfg ctx =
   with_cut_stats ctx (fun stats -> Synth.resyn2rs ~stats ~jobs:cfg.jobs ctx.aig)
 
-let pass_light cfg _step ctx =
+let pass_light _step cfg ctx =
   with_cut_stats ctx (fun stats -> Synth.light ~stats ~jobs:cfg.jobs ctx.aig)
 
-let pass_synth cfg step ctx =
+let pass_synth step =
   match step.args with
-  | [] | [ ("full", None) ] -> pass_resyn2rs cfg step ctx
-  | [ ("light", None) ] -> pass_light cfg step ctx
-  | [ ("none", None) ] -> ctx
+  | [] | [ ("full", None) ] -> pass_resyn2rs step
+  | [ ("light", None) ] -> pass_light step
+  | [ ("none", None) ] -> fun _cfg ctx -> ctx
   | _ -> fail "synth: expects a single mode (none|light|full)"
 
-(* The mapper's value ranges, checked wherever a value enters (pass
-   argument, driver flag, served job parameter) so that a bad value is a
-   usage error naming [arg] rather than an [Invalid_argument] deep inside
-   cut enumeration. *)
-let check_cut_size ~arg k =
-  if k >= 2 && k <= 6 then Ok ()
-  else Error (Printf.sprintf "%s expects a cut size from 2 to 6, got %d" arg k)
-
-let check_max_cuts ~arg n =
-  let limit = Mapper.default_params.Mapper.cut_limit in
-  if n >= limit then Ok ()
-  else
-    Error
-      (Printf.sprintf "%s expects at least the priority-cut limit %d, got %d"
-         arg limit n)
-
-let pass_map cfg step ctx =
-  let family = Option.value (arg_family step "family") ~default:ctx.family in
+(* The mapper's defaults are [Mapper.default_params]: cut size 6, the exact
+   cut_limit² candidate bound, delay-then-area covering.  Out-of-range
+   values would otherwise surface as an [Invalid_argument] deep inside cut
+   enumeration. *)
+let pass_map step =
+  let family = arg_family step "family" in
   let cut_size =
     match arg_int step "cut" with
-    | Some k ->
-        Result.iter_error (fail "%s") (check_cut_size ~arg:"map: cut" k);
-        k
-    | None -> cfg.cut_size
+    | Some k when k < 2 || k > 6 ->
+        fail "map: cut expects a cut size from 2 to 6, got %d" k
+    | Some k -> k
+    | None -> Mapper.default_params.Mapper.cut_size
   in
   let max_cuts =
     match arg_int step "max-cuts" with
-    | Some n ->
-        Result.iter_error (fail "%s") (check_max_cuts ~arg:"map: max-cuts" n);
-        Some n
-    | None -> cfg.max_cuts
-  in
-  let timing =
-    if arg_flag step "timing" then true
-    else if arg_flag step "no-timing" then false
-    else cfg.timing
+    | Some n when n < Mapper.cut_limit ->
+        fail "map: max-cuts expects at least the priority-cut limit %d, got %d"
+          Mapper.cut_limit n
+    | m -> m
   in
   let cost =
     match arg_value step "cost" with
@@ -197,57 +171,65 @@ let pass_map cfg step ctx =
     | Some "testability" -> Some Testability.cell_cost
     | Some c -> fail "map: unknown cost %s (area|testability)" c
   in
-  let lib, status = Cell_lib.cached_with_status family in
   let params =
     {
       Mapper.default_params with
       Mapper.cut_size;
-      timing;
+      timing = arg_flag step "timing";
       cost;
       max_cuts;
-      jobs = cfg.jobs;
     }
   in
-  let mapped, stats = Mapper.map_with_stats ~params lib ctx.aig in
-  {
-    ctx with
-    family;
-    lib = Some lib;
-    lib_cache = Some status;
-    mapped = Some mapped;
-    golden = Some ctx.aig;
-    sta = None;
-    placement = None;
-    fault = None;
-    testability = None;
-    verified = None;
-    cut_stats = Some stats;
-  }
+  fun cfg ctx ->
+    let family = Option.value family ~default:ctx.family in
+    let lib, status = Cell_lib.cached_with_status family in
+    let params = { params with Mapper.jobs = cfg.jobs } in
+    let mapped, stats = Mapper.map_with_stats ~params lib ctx.aig in
+    {
+      ctx with
+      family;
+      lib = Some lib;
+      lib_cache = Some status;
+      mapped = Some mapped;
+      golden = Some ctx.aig;
+      sta = None;
+      placement = None;
+      fault = None;
+      testability = None;
+      verified = None;
+      cut_stats = Some stats;
+    }
 
 let mapped_or_fail step ctx =
   match ctx.mapped with
   | Some m -> m
   | None -> fail "%s: no mapped netlist in the flow (run map first)" step.pass
 
-let pass_sta cfg step ctx =
-  let m = mapped_or_fail step ctx in
+let pass_sta step =
   let model =
     {
-      Sta.unit_loads = arg_flag step "unit" || cfg.unit_loads;
-      po_fanout = Option.value (arg_float step "po") ~default:cfg.po_fanout;
+      Sta.unit_loads = arg_flag step "unit";
+      po_fanout =
+        Option.value (arg_float step "po")
+          ~default:Sta.default_model.Sta.po_fanout;
     }
   in
-  { ctx with sta = Some (Sta.analyze ~model m) }
+  fun _cfg ctx ->
+    let m = mapped_or_fail step ctx in
+    { ctx with sta = Some (Sta.analyze ~model m) }
 
-let lint_name step ctx ~mapped =
-  match arg_value step "name" with
-  | Some n -> n
-  | None -> (
-      match arg_value step "tag" with
-      | Some t -> ctx.name ^ "/" ^ t
-      | None ->
-          if mapped then ctx.name ^ "/" ^ Cli_common.family_arg_name ctx.family
-          else ctx.name)
+(* [name=N] names the report outright, [tag=T] suffixes the circuit name;
+   by default a mapped report is tagged with its family. *)
+let lint_name step =
+  let name = arg_value step "name" in
+  let tag = arg_value step "tag" in
+  fun ctx ~mapped ->
+    match (name, tag) with
+    | Some n, _ -> n
+    | None, Some t -> ctx.name ^ "/" ^ t
+    | None, None ->
+        if mapped then ctx.name ^ "/" ^ Cli_common.family_arg_name ctx.family
+        else ctx.name
 
 (* The passes that may call the SAT solver hand it a fresh stats record;
    it lands on the context only when a query was actually issued. *)
@@ -255,200 +237,210 @@ let with_sat_stats ctx stats =
   if stats.Solver.sat_solves > 0 then { ctx with sat_stats = Some stats }
   else ctx
 
-let pass_lint cfg step ctx =
-  match ctx.mapped with
-  | Some m when not (arg_flag step "aig") ->
-      let stats = Solver.stats_create () in
-      let ds =
-        Map_lint.check
-          ~name:(lint_name step ctx ~mapped:true)
-          ?lib:ctx.lib ?golden:ctx.golden
-          ?conflict_budget:cfg.conflict_budget ~stats m
-      in
-      with_sat_stats { ctx with diags = ctx.diags @ ds } stats
-  | _ ->
-      let name = lint_name step ctx ~mapped:false in
-      { ctx with diags = ctx.diags @ Aig_lint.check ~name ctx.aig }
+let pass_lint step =
+  let aig_only = arg_flag step "aig" in
+  let lint_name = lint_name step in
+  fun cfg ctx ->
+    match ctx.mapped with
+    | Some m when not aig_only ->
+        let stats = Solver.stats_create () in
+        let ds =
+          Map_lint.check
+            ~name:(lint_name ctx ~mapped:true)
+            ?lib:ctx.lib ?golden:ctx.golden
+            ?conflict_budget:cfg.conflict_budget ~stats m
+        in
+        with_sat_stats { ctx with diags = ctx.diags @ ds } stats
+    | _ ->
+        let name = lint_name ctx ~mapped:false in
+        { ctx with diags = ctx.diags @ Aig_lint.check ~name ctx.aig }
 
-let pass_verify cfg step ctx =
-  let m = mapped_or_fail step ctx in
-  let golden =
-    match ctx.golden with
-    | Some g -> g
-    | None -> fail "verify: the mapping's source AIG is unknown"
-  in
-  let seed =
-    match arg_value step "seed" with
-    | Some s -> (
-        try Int64.of_string s
-        with _ -> fail "verify: seed expects an integer, got %s" s)
-    | None -> cfg.seed
-  in
-  let rounds = Option.value (arg_int step "rounds") ~default:cfg.verify_rounds in
-  let ok = Experiments.verify_by_simulation ~seed ~rounds golden m in
-  let diags =
-    if ok then ctx.diags
-    else
-      ctx.diags
-      @ [
-          Diag.errorf ~rule:"map-verify" (Diag.Circuit ctx.name)
-            "mapped netlist disagrees with its source AIG (seed %Ld, %d x 64 \
-             patterns)"
-            seed rounds;
-        ]
-  in
-  { ctx with verified = Some ok; diags }
+let pass_verify step =
+  let seed = arg_int64 step "seed" in
+  let rounds = Option.value (arg_int step "rounds") ~default:8 in
+  fun cfg ctx ->
+    let m = mapped_or_fail step ctx in
+    let golden =
+      match ctx.golden with
+      | Some g -> g
+      | None -> fail "verify: the mapping's source AIG is unknown"
+    in
+    let seed = Option.value seed ~default:cfg.seed in
+    let ok = Experiments.verify_by_simulation ~seed ~rounds golden m in
+    let diags =
+      if ok then ctx.diags
+      else
+        ctx.diags
+        @ [
+            Diag.errorf ~rule:"map-verify" (Diag.Circuit ctx.name)
+              "mapped netlist disagrees with its source AIG (seed %Ld, %d x \
+               64 patterns)"
+              seed rounds;
+          ]
+    in
+    { ctx with verified = Some ok; diags }
 
-let pass_place _cfg step ctx =
-  let m = mapped_or_fail step ctx in
-  let gates = Array.length m.Mapped.instances in
-  let side () = 1 + int_of_float (sqrt (float_of_int (2 * gates))) in
+let pass_place step =
   let dim key =
     match arg_int step key with
     | Some n when n <= 0 -> fail "place: %s expects a positive integer" key
-    | Some n -> n
-    | None -> side ()
+    | d -> d
   in
   let rows = dim "rows" in
   let cols = dim "cols" in
-  let fab = Fabric.create ~rows ~cols in
-  match Fabric.place fab m with
-  | Ok p -> { ctx with placement = Some p }
-  | Error e ->
-      {
-        ctx with
-        placement = None;
-        diags =
-          ctx.diags
-          @ [
-              Diag.errorf ~rule:"fabric-place" (Diag.Circuit ctx.name) "%s"
-                (Fabric.error_message e);
-            ];
-      }
+  fun _cfg ctx ->
+    let m = mapped_or_fail step ctx in
+    let gates = Array.length m.Mapped.instances in
+    let side = 1 + int_of_float (sqrt (float_of_int (2 * gates))) in
+    let fab =
+      Fabric.create
+        ~rows:(Option.value rows ~default:side)
+        ~cols:(Option.value cols ~default:side)
+    in
+    match Fabric.place fab m with
+    | Ok p -> { ctx with placement = Some p }
+    | Error e ->
+        {
+          ctx with
+          placement = None;
+          diags =
+            ctx.diags
+            @ [
+                Diag.errorf ~rule:"fabric-place" (Diag.Circuit ctx.name) "%s"
+                  (Fabric.error_message e);
+              ];
+        }
 
-let pass_fault cfg step ctx =
-  let m = mapped_or_fail step ctx in
-  let rounds = Option.value (arg_int step "rounds") ~default:cfg.fault_rounds in
-  let seed =
-    match arg_value step "seed" with
-    | Some s -> (
-        try Int64.of_string s
-        with _ -> fail "fault: seed expects an integer, got %s" s)
-    | None -> cfg.seed
-  in
-  let conflict_budget =
-    match arg_int step "budget" with
-    | Some b -> b
-    | None -> Option.value cfg.conflict_budget ~default:100_000
-  in
-  let stats = Solver.stats_create () in
-  let _, summary = Gate_fault.analyze ~rounds ~seed ~conflict_budget ~stats m in
-  let diags =
-    if summary.Gate_fault.g_unknown = 0 then ctx.diags
-    else
-      ctx.diags
-      @ [
-          Diag.warnf ~rule:"fault-budget" (Diag.Circuit ctx.name)
-            "%d of %d faults unresolved: ATPG conflict budget (%d) exhausted"
-            summary.Gate_fault.g_unknown summary.Gate_fault.g_total
-            conflict_budget;
-        ]
-  in
-  with_sat_stats { ctx with fault = Some summary; diags } stats
+let pass_fault step =
+  let rounds = Option.value (arg_int step "rounds") ~default:32 in
+  let seed = arg_int64 step "seed" in
+  let budget = arg_int step "budget" in
+  fun cfg ctx ->
+    let m = mapped_or_fail step ctx in
+    let seed = Option.value seed ~default:cfg.seed in
+    let conflict_budget =
+      match budget with
+      | Some b -> b
+      | None -> Option.value cfg.conflict_budget ~default:100_000
+    in
+    let stats = Solver.stats_create () in
+    let _, summary =
+      Gate_fault.analyze ~rounds ~seed ~conflict_budget ~stats m
+    in
+    let diags =
+      if summary.Gate_fault.g_unknown = 0 then ctx.diags
+      else
+        ctx.diags
+        @ [
+            Diag.warnf ~rule:"fault-budget" (Diag.Circuit ctx.name)
+              "%d of %d faults unresolved: ATPG conflict budget (%d) exhausted"
+              summary.Gate_fault.g_unknown summary.Gate_fault.g_total
+              conflict_budget;
+          ]
+    in
+    with_sat_stats { ctx with fault = Some summary; diags } stats
 
 (* SAT equivalence of the mapping against its source AIG.  Unlike [verify]
    (random simulation) this is complete — but under a conflict budget the
    solver may give up, and that outcome must stay a structured, typed
    report ([cec-undecided] Warning), never an exception escaping a served
    job. *)
-let pass_cec cfg step ctx =
-  let m = mapped_or_fail step ctx in
-  let golden =
-    match ctx.golden with
-    | Some g -> g
-    | None -> fail "cec: the mapping's source AIG is unknown"
-  in
+let pass_cec step =
   let budget =
     match arg_int step "budget" with
-    | Some b when b > 0 -> Some b
-    | Some _ -> fail "cec: budget expects a positive integer"
-    | None -> cfg.conflict_budget
+    | Some b when b <= 0 -> fail "cec: budget expects a positive integer"
+    | b -> b
   in
-  let stats = Solver.stats_create () in
-  let verdict =
-    Cec.check ?conflict_budget:budget ~seed:cfg.seed ~stats golden
-      (Mapped.to_aig m)
-  in
-  let ctx = with_sat_stats ctx stats in
-  match verdict with
-  | Cec.Equivalent -> { ctx with verified = Some true }
-  | Cec.Inequivalent _ ->
-      {
-        ctx with
-        verified = Some false;
-        diags =
-          ctx.diags
-          @ [
-              Diag.errorf ~rule:"cec-inequivalent" (Diag.Circuit ctx.name)
-                "mapped netlist is SAT-inequivalent to its source AIG";
-            ];
-      }
-  | Cec.Undecided ->
-      (* typed Cec.Undecided_budget territory: surface as a report *)
-      {
-        ctx with
-        diags =
-          ctx.diags
-          @ [
-              Diag.warnf ~rule:"cec-undecided" (Diag.Circuit ctx.name)
-                "SAT conflict budget (%d) exhausted before the equivalence \
-                 miter was decided"
-                (Option.value budget ~default:0);
-            ];
-      }
+  fun cfg ctx ->
+    let m = mapped_or_fail step ctx in
+    let golden =
+      match ctx.golden with
+      | Some g -> g
+      | None -> fail "cec: the mapping's source AIG is unknown"
+    in
+    let budget =
+      match budget with Some _ -> budget | None -> cfg.conflict_budget
+    in
+    let stats = Solver.stats_create () in
+    let verdict =
+      Cec.check ?conflict_budget:budget ~seed:cfg.seed ~stats golden
+        (Mapped.to_aig m)
+    in
+    let ctx = with_sat_stats ctx stats in
+    match verdict with
+    | Cec.Equivalent -> { ctx with verified = Some true }
+    | Cec.Inequivalent _ ->
+        {
+          ctx with
+          verified = Some false;
+          diags =
+            ctx.diags
+            @ [
+                Diag.errorf ~rule:"cec-inequivalent" (Diag.Circuit ctx.name)
+                  "mapped netlist is SAT-inequivalent to its source AIG";
+              ];
+        }
+    | Cec.Undecided ->
+        (* typed Cec.Undecided_budget territory: surface as a report *)
+        {
+          ctx with
+          diags =
+            ctx.diags
+            @ [
+                Diag.warnf ~rule:"cec-undecided" (Diag.Circuit ctx.name)
+                  "SAT conflict budget (%d) exhausted before the equivalence \
+                   miter was decided"
+                  (Option.value budget ~default:0);
+              ];
+        }
 
 (* A deliberately slow pass: the negative fixture behind the wall-clock
    budget machinery (pass budgets in test_flow, job budgets in the serve
    chaos harness). *)
-let pass_sleep _cfg step ctx =
+let pass_sleep step =
   let s = Option.value (arg_float step "s") ~default:0.05 in
-  if s < 0.0 then fail "sleep: s expects a non-negative number";
-  Unix.sleepf s;
-  ctx
+  if s < 0.0 then fail "sleep: s expects a non-negative number, got %g" s;
+  fun _cfg ctx ->
+    Unix.sleepf s;
+    ctx
 
-let pass_testability _cfg step ctx =
-  let m = mapped_or_fail step ctx in
-  let t = Testability.analyze ~learn:(not (arg_flag step "no-learn")) m in
-  let diags =
-    if arg_flag step "lint" then
-      ctx.diags @ Testability.lint ~name:(lint_name step ctx ~mapped:true) m t
-    else ctx.diags
-  in
-  { ctx with testability = Some t.Testability.summary; diags }
+let pass_testability step =
+  let learn = not (arg_flag step "no-learn") in
+  let lint = arg_flag step "lint" in
+  let lint_name = lint_name step in
+  fun _cfg ctx ->
+    let m = mapped_or_fail step ctx in
+    let t = Testability.analyze ~learn m in
+    let diags =
+      if lint then
+        ctx.diags @ Testability.lint ~name:(lint_name ctx ~mapped:true) m t
+      else ctx.diags
+    in
+    { ctx with testability = Some t.Testability.summary; diags }
 
 (* A deliberately failing pass: the negative fixture behind the isolation
    machinery (test_flow and the CI exit-nonzero-with-report job).  Filters
    restrict the crash to one matrix cell. *)
-let pass_fail _cfg step ctx =
-  let applies =
-    (match arg_value step "circuit" with
-    | Some n -> n = ctx.name
-    | None -> true)
-    && (match arg_family step "family" with
-       | Some f -> f = ctx.family
-       | None -> true)
+let pass_fail step =
+  let circuit = arg_value step "circuit" in
+  let family = arg_family step "family" in
+  let msg =
+    Option.value (arg_value step "msg") ~default:"deliberate test failure"
   in
-  if applies then
-    failwith
-      (Option.value (arg_value step "msg") ~default:"deliberate test failure")
-  else ctx
+  fun _cfg ctx ->
+    let applies =
+      Option.fold ~none:true ~some:(( = ) ctx.name) circuit
+      && Option.fold ~none:true ~some:(( = ) ctx.family) family
+    in
+    if applies then failwith msg else ctx
 
 (* ---------------- registry ---------------- *)
 
 type pass_info = {
   p_doc : string;
   p_args : string list;
-  p_apply : config -> step -> ctx -> ctx;
+  p_apply : step -> config -> ctx -> ctx;
+      (* reads and checks the step's arguments, then runs *)
 }
 
 let registry : (string * pass_info) list =
@@ -473,26 +465,29 @@ let registry : (string * pass_info) list =
         p_args = [ "none"; "light"; "full" ]; p_apply = pass_synth } );
     ( "map",
       { p_doc =
-          "technology mapping [family=F, cut=K, max-cuts=N, timing, \
-           no-timing, cost=area|testability]";
-        p_args = [ "family"; "cut"; "max-cuts"; "timing"; "no-timing"; "cost" ];
+          "technology mapping [family=F, cut=K (2-6, default 6), max-cuts=N \
+           (>= 12), timing, cost=area|testability]";
+        p_args = [ "family"; "cut"; "max-cuts"; "timing"; "cost" ];
         p_apply = pass_map } );
     ( "sta",
-      { p_doc = "static timing analysis of the mapping [po=N, unit]";
+      { p_doc =
+          "static timing analysis of the mapping [po=N (default 4), unit]";
         p_args = [ "po"; "unit" ]; p_apply = pass_sta } );
     ( "lint",
       { p_doc = "lint the mapping (or the AIG before map) [aig, tag=T, name=N]";
         p_args = [ "aig"; "tag"; "name" ]; p_apply = pass_lint } );
     ( "verify",
-      { p_doc = "random-simulation equivalence of the mapping [seed=N, rounds=R]";
+      { p_doc =
+          "random-simulation equivalence of the mapping [seed=N, rounds=R \
+           (default 8)]";
         p_args = [ "seed"; "rounds" ]; p_apply = pass_verify } );
     ( "place",
       { p_doc = "place onto the Sec. 5 regular fabric [rows=R, cols=C]";
         p_args = [ "rows"; "cols" ]; p_apply = pass_place } );
     ( "fault",
       { p_doc =
-          "stuck-at fault simulation + SAT ATPG of the mapping [rounds=N, \
-           seed=N, budget=N]";
+          "stuck-at fault simulation + SAT ATPG of the mapping [rounds=N \
+           (default 32), seed=N, budget=N]";
         p_args = [ "rounds"; "seed"; "budget" ];
         p_apply = pass_fault } );
     ( "testability",
@@ -582,14 +577,15 @@ let parse_step text =
           (String.split_on_char ' ' tail)
   in
   let step = { pass = name; args } in
-  (* validate the pass name and the argument keys *)
-  let allowed = (find_pass name).p_args in
+  (* validate the pass name and the argument keys, then the values *)
+  let info = find_pass name in
   List.iter
     (fun (k, _) ->
-      if not (List.mem k allowed) then
+      if not (List.mem k info.p_args) then
         fail "%s: unknown argument %s (allowed: %s)" name k
-          (String.concat ", " allowed))
+          (String.concat ", " info.p_args))
     args;
+  let (_ : config -> ctx -> ctx) = info.p_apply step in
   step
 
 let parse_script_exn text =
@@ -680,7 +676,7 @@ let run_step cfg step ctx =
   let info = find_pass step.pass in
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  let ctx' = info.p_apply cfg step ctx in
+  let ctx' = info.p_apply step cfg ctx in
   let wall = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
   let gc =
@@ -1035,10 +1031,7 @@ let run_matrix ?(domains = 1) ?(config = default_config) ?on_result ~script
      characterized exactly once, and the workers only ever hit *)
   let explicit =
     List.filter_map
-      (fun s ->
-        if s.pass = "map" then
-          try arg_family s "family" with Flow_error _ -> None
-        else None)
+      (fun s -> if s.pass = "map" then arg_family s "family" else None)
       script
   in
   List.iter

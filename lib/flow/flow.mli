@@ -18,27 +18,24 @@
       the benchmark × family sweep. *)
 
 exception Flow_error of string
-(** Raised on engine misuse (e.g. [sta] before [map]) and bad pass
-    arguments.  Script {e syntax} errors are reported by {!parse_script}
-    as [Error _] instead. *)
+(** Raised on engine misuse (e.g. [sta] before [map]).  Script errors —
+    syntax, unknown passes or arguments, bad argument values — are
+    reported by {!parse_script} as [Error _] instead. *)
 
 (** {1 Configuration and context} *)
 
+(** The settings that span several passes or drive the runner.  A pass's
+    own parameters live only in the script, as its arguments, and each
+    pass owns their defaults (see {!passes}). *)
 type config = {
   family : Cell_netlist.family;  (** default target of [map] *)
-  cut_size : int;                (** default mapper cut size (6) *)
-  max_cuts : int option;
-      (** default mapper per-node candidate-cut scratch bound
-          ({!Mapper.params.max_cuts}; [None] = exact [cut_limit²]).
-          Overridable per step with [map(max-cuts=N)]. *)
-  timing : bool;                 (** default STA-backed timing mapping *)
-  po_fanout : float;             (** default STA primary-output load (4.0) *)
-  unit_loads : bool;             (** default fixed-FO4 STA convention *)
-  seed : int64;                  (** default [verify] simulation seed *)
-  verify_rounds : int;           (** default [verify] pattern batches (8) *)
+  seed : int64;
+      (** default pattern seed of [verify] and [fault]; the seed of [cec]'s
+          random simulation *)
   conflict_budget : int option;
-      (** SAT conflict cap for [lint]'s functional fallback and the [fault]
-          pass's ATPG; exhaustion degrades to a Warning diagnostic
+      (** SAT conflict cap for [lint]'s functional fallback, the [fault]
+          pass's ATPG and [cec] ([fault(budget=N)] and [cec(budget=N)]
+          override it); exhaustion degrades to a Warning diagnostic
           ([None] = solver default / unbounded lint solves) *)
   isolate : bool;
       (** catch per-pass exceptions: a raising pass becomes a
@@ -47,7 +44,6 @@ type config = {
   pass_budget_s : float option;
       (** wall-clock budget per pass; overruns add a [flow-pass-budget]
           Warning (the pass still completes — there is no preemption) *)
-  fault_rounds : int;            (** default [fault] random rounds (32) *)
   jobs : int;
       (** within-circuit domains for the cut-based synthesis passes and
           the mapper's cover selection (default 1).  Output is
@@ -88,16 +84,23 @@ val diags_since : ctx -> ctx -> Diag.t list
 
 (** {1 Scripts} *)
 
-type step = {
+type step = private {
   pass : string;
   args : (string * string option) list;
       (** [key=value] or bare [flag] arguments, in source order *)
 }
+(** A parsed step; only {!parse_script} makes one, so its arguments are
+    known to be valid. *)
 
 val parse_script : string -> (step list, string) result
 (** Splits on [;], each step [name], [name(arg,key=value,...)] or ABC-style
-    [name -flag].  Unknown pass names and argument keys are reported here;
-    argument values are validated when the pass runs. *)
+    [name -flag].  Every script error is reported here, naming the pass and
+    the argument: unknown pass names and argument keys, and bad argument
+    values — a malformed number, a flag given a value, an unknown family,
+    cost or synth mode, and out-of-range values ([map(cut=K)] outside
+    2..6, [map(max-cuts=N)] below {!Mapper.cut_limit}, [rf(cut=K)] below
+    2, non-positive [place] dimensions or [cec] budget, a negative
+    [sleep(s=S)]). *)
 
 val parse_script_exn : string -> step list
 (** Raises {!Flow_error}. *)
@@ -111,16 +114,8 @@ val split_at_map : step list -> step list * step list
     driver hoists it and runs it once per benchmark. *)
 
 val passes : (string * string) list
-(** [(name, one-line description)] of every registered pass. *)
-
-val check_cut_size : arg:string -> int -> (unit, string) result
-(** [Error msg] unless the mapper cut size is from 2 to 6; [msg] names the
-    value as [arg].  Drivers check their flags with it; the [map] pass
-    checks its [cut=K] argument. *)
-
-val check_max_cuts : arg:string -> int -> (unit, string) result
-(** [Error msg] unless the per-node candidate-cut bound is at least the
-    mapper's priority-cut limit ({!Mapper.default_params}, 12). *)
+(** [(name, one-line description)] of every registered pass, listing its
+    arguments and their defaults. *)
 
 (** {1 Per-pass metrics} *)
 

@@ -23,7 +23,6 @@ type row = {
 
 let tau_ps = function Cmos -> 3.00 | _ -> 0.59
 let inverter_cin = function Cmos -> 3.0 | _ -> 2.0
-let inverter_area = function Cmos -> 3.0 | _ -> 2.0
 
 let output_parasitic (c : cell) =
   (match c.pull_up with Some n -> top_cap n | None -> c.bias_width)
@@ -139,32 +138,3 @@ let averages rows =
       (0.0, 0.0, 0.0, 0.0) rows
   in
   (t /. n, a /. n, w /. n, v /. n)
-
-let with_output_inverter r =
-  (* Appending the unit inverter: +2 transistors, + inverter area; the
-     inverter input adds parasitic load on the cell (one more FO1-ish term)
-     — a first-order documented approximation kept in the fo4 fields.  The
-     drive model is the honest two-stage one: the cell's own networks drive
-     the inverter's input capacitance, the inverter drives the load. *)
-  let cin_ref = inverter_cin r.family in
-  let extra = (inverter_cin r.family +. 2.0) /. cin_ref in
-  let timing =
-    let d = r.timing.drive in
-    let drive =
-      match d.second_stage with
-      | None -> { d with second_stage = Some (inverter_cin r.family) }
-      | Some _ ->
-          (* already buffered (pass-static); the extra inverter's fo4 term
-             is folded into the fixed fields above *)
-          d
-    in
-    { r.timing with drive }
-  in
-  {
-    r with
-    transistors = r.transistors + 2;
-    area = r.area +. inverter_area r.family;
-    fo4_worst = r.fo4_worst +. extra;
-    fo4_avg = r.fo4_avg +. extra;
-    timing;
-  }

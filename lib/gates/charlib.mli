@@ -79,8 +79,3 @@ val output_parasitic : Cell_netlist.cell -> float
 val averages : row list -> float * float * float * float
 (** [(transistors, area, fo4_worst, fo4_avg)] averaged over the rows. *)
 
-val with_output_inverter : row -> row
-(** The paper appends an output inverter to every cell so both output
-    polarities are available; this adds the inverter's transistors, area,
-    and average FO4 contribution (Table 2, penultimate row).  The drive
-    model becomes the two-stage one unless the cell is already buffered. *)

@@ -2,25 +2,17 @@ type char_source = Computed | Published
 
 type options = {
   char_source : char_source;
-  delay : Cell_lib.delay_choice;
-  synthesize : bool;
-  cut_size : int;
   free_output_polarity : bool;
   verify : bool;
   verify_seed : int64;
-  timing_map : bool;
 }
 
 let default_options =
   {
     char_source = Computed;
-    delay = Cell_lib.Worst;
-    synthesize = true;
-    cut_size = 6;
     free_output_polarity = true;
     verify = false;
     verify_seed = 2026L;
-    timing_map = false;
   }
 
 (* ---------------- Table 1 ---------------- *)
@@ -116,12 +108,7 @@ let render_table2 () =
 
 (* ---------------- libraries ---------------- *)
 
-let published_lib family ~delay ~free_phases =
-  let pick (gc : Paper_data.gate_char) =
-    match delay with
-    | Cell_lib.Worst -> gc.Paper_data.w
-    | Cell_lib.Average -> gc.Paper_data.avg
-  in
+let published_lib family ~free_phases =
   let entries =
     match family with
     | Cell_netlist.Cmos -> Catalog.cmos_subset
@@ -145,7 +132,7 @@ let published_lib family ~delay ~free_phases =
           tt =
             (if family = Cell_netlist.Cmos then Int64.lognot base_tt else base_tt);
           area = gc.Paper_data.a;
-          delay = pick gc;
+          delay = gc.Paper_data.w;
           timing = None;
         })
       entries
@@ -158,9 +145,9 @@ let libraries opts =
   let fp = opts.free_output_polarity in
   match opts.char_source with
   | Computed ->
-      ( Cell_lib.cached ~delay:opts.delay Cell_netlist.Tg_static,
-        Cell_lib.cached ~delay:opts.delay Cell_netlist.Tg_pseudo,
-        Cell_lib.cached ~delay:opts.delay Cell_netlist.Cmos )
+      ( Cell_lib.cached Cell_netlist.Tg_static,
+        Cell_lib.cached Cell_netlist.Tg_pseudo,
+        Cell_lib.cached Cell_netlist.Cmos )
       |> fun (s, p, c) ->
       if fp then (s, p, c)
       else
@@ -179,9 +166,9 @@ let libraries opts =
         in
         (strip s, strip p, c)
   | Published ->
-      ( published_lib Cell_netlist.Tg_static ~delay:opts.delay ~free_phases:fp,
-        published_lib Cell_netlist.Tg_pseudo ~delay:opts.delay ~free_phases:fp,
-        published_lib Cell_netlist.Cmos ~delay:opts.delay ~free_phases:false )
+      ( published_lib Cell_netlist.Tg_static ~free_phases:fp,
+        published_lib Cell_netlist.Tg_pseudo ~free_phases:fp,
+        published_lib Cell_netlist.Cmos ~free_phases:false )
 
 (* ---------------- Table 3 ---------------- *)
 
@@ -214,16 +201,9 @@ let verify_by_simulation ?(seed = 2026L) ?(rounds = 8) aig mapped =
 
 let run_bench opts (lib_s, lib_p, lib_c) (e : Bench_suite.entry) =
   let aig = e.Bench_suite.build () in
-  let opt = if opts.synthesize then Synth.resyn2rs aig else aig in
-  let params =
-    {
-      Mapper.default_params with
-      Mapper.cut_size = opts.cut_size;
-      timing = opts.timing_map;
-    }
-  in
+  let opt = Synth.resyn2rs aig in
   let one lib =
-    let m = Mapper.map ~params lib opt in
+    let m = Mapper.map lib opt in
     if opts.verify && not (verify_by_simulation ~seed:opts.verify_seed opt m)
     then
       failwith (Printf.sprintf "mapping of %s against %s is not equivalent"
@@ -336,26 +316,6 @@ let render_table3 ?(options = default_options) ?benches () =
       | None -> Printf.bprintf b "| %s | %.3f | |\n" k v)
     (summarize rows);
   Buffer.contents b
-
-let run_fig6 ?(options = default_options) ?benches () =
-  let rows = run_table3 ~options ?benches () in
-  List.map
-    (fun r ->
-      ( r.bench,
-        r.cmos_r.stats.Mapped.abs_delay_ps /. r.static_r.stats.Mapped.abs_delay_ps,
-        r.cmos_r.stats.Mapped.abs_delay_ps /. r.pseudo_r.stats.Mapped.abs_delay_ps ))
-    rows
-
-let run_fig6_sta ?(options = default_options) ?benches () =
-  let rows = run_table3 ~options ?benches () in
-  List.map
-    (fun r ->
-      ( r.bench,
-        r.cmos_r.stats.Mapped.sta_abs_delay_ps
-        /. r.static_r.stats.Mapped.sta_abs_delay_ps,
-        r.cmos_r.stats.Mapped.sta_abs_delay_ps
-        /. r.pseudo_r.stats.Mapped.sta_abs_delay_ps ))
-    rows
 
 let render_fig6 ?(options = default_options) ?benches () =
   let rows = run_table3 ~options ?benches () in

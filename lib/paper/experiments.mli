@@ -10,9 +10,6 @@ type char_source =
 
 type options = {
   char_source : char_source;
-  delay : Cell_lib.delay_choice;
-  synthesize : bool;       (** run the resyn2rs-like script before mapping *)
-  cut_size : int;
   free_output_polarity : bool;
       (** CNTFET cells provide both output polarities (the paper's
           output-inverter convention); disabling charges inverters like
@@ -21,10 +18,11 @@ type options = {
   verify_seed : int64;
       (** RNG seed of the verification patterns (default 2026) — explicit
           so CI runs are reproducible *)
-  timing_map : bool;
-      (** map with {!Mapper}'s STA-backed load-aware delay cost instead of
-          the fixed unit-load FO4 (default false — the paper's setup) *)
 }
+(** Every Table 3 / Figure 6 run optimizes with [resyn2rs] and maps with
+    {!Mapper.default_params} (cut size 6, the fixed unit-load FO4 delay)
+    against libraries whose cell delay is the worst-case FO4 — the paper's
+    setup. *)
 
 val default_options : options
 
@@ -75,14 +73,6 @@ val run_bench : options -> Cell_lib.t * Cell_lib.t * Cell_lib.t ->
 
 val run_table3 : ?options:options -> ?benches:string list -> unit -> t3_row list
 val render_table3 : ?options:options -> ?benches:string list -> unit -> string
-
-val run_fig6 : ?options:options -> ?benches:string list -> unit ->
-  (string * float * float) list
-(** Per benchmark: (name, static speed-up vs CMOS, pseudo speed-up). *)
-
-val run_fig6_sta : ?options:options -> ?benches:string list -> unit ->
-  (string * float * float) list
-(** Same ratios computed from the load-aware STA delays on both sides. *)
 
 val render_fig6 : ?options:options -> ?benches:string list -> unit -> string
 

@@ -6,11 +6,13 @@
    The cache key is MD5 over
      (canonical BLIF print of the parsed AIG,   -- structure, not text
       canonical script print,                   -- "b;  rw" == "b; rw"
-      the *resolved* flow parameters,           -- explicit param == default
+      the *resolved* flow config,               -- explicit param == default
       report name, netlist flag)
    so two textually different submissions of the same circuit, or an
    explicit parameter equal to the server default, hit the same entry —
-   the Cell_lib.cached model lifted to whole synthesis results. *)
+   the Cell_lib.cached model lifted to whole synthesis results.  Every
+   per-pass setting is a script argument, so the canonical script covers
+   it. *)
 
 exception Reject of string
 (* deterministic client error (bad circuit / bad script): never retried *)
@@ -37,29 +39,19 @@ let parse_script (sub : Proto.submit) =
 (* The submitted overrides resolved against the server's defaults.  Jobs
    always run isolated (a crashing pass must degrade to a diagnostic, not
    kill the worker with a nonzero exit that would look transient) and
-   sequential (worker processes are the parallelism).  Out-of-range
-   mapper parameters are client errors. *)
+   sequential (worker processes are the parallelism).  Params the daemon
+   cannot use are client errors. *)
 let flow_config ~(base : Flow.config) (sub : Proto.submit) =
   let p = sub.Proto.sub_params in
-  let check = Result.iter_error (reject "%s") in
-  Option.iter (fun k -> check (Flow.check_cut_size ~arg:"params.cut_size" k))
-    p.Proto.cut_size;
-  Option.iter (fun n -> check (Flow.check_max_cuts ~arg:"params.max_cuts" n))
-    p.Proto.max_cuts;
-  let v dflt o = Option.value o ~default:dflt in
+  Option.iter (reject "%s") (Proto.params_error p);
   {
     base with
     Flow.family = sub.Proto.sub_family;
-    cut_size = v base.Flow.cut_size p.Proto.cut_size;
-    max_cuts = (match p.Proto.max_cuts with Some _ as m -> m | None -> base.Flow.max_cuts);
-    timing = v base.Flow.timing p.Proto.timing;
-    seed = v base.Flow.seed p.Proto.seed;
-    verify_rounds = v base.Flow.verify_rounds p.Proto.verify_rounds;
+    seed = Option.value p.Proto.seed ~default:base.Flow.seed;
     conflict_budget =
       (match p.Proto.conflict_budget with
       | Some _ as b -> b
       | None -> base.Flow.conflict_budget);
-    fault_rounds = v base.Flow.fault_rounds p.Proto.fault_rounds;
     isolate = true;
     jobs = 1;
   }
@@ -71,19 +63,11 @@ let cache_key ~(config : Flow.config) ~steps ~aig (sub : Proto.submit) =
                                   Buffer.add_string b s) fmt in
   add "script=%s" (Flow.script_to_string steps);
   add "family=%s" (Cli_common.family_arg_name config.Flow.family);
-  add "cut=%d" config.Flow.cut_size;
-  add "max_cuts=%s"
-    (match config.Flow.max_cuts with None -> "-" | Some n -> string_of_int n);
-  add "timing=%b" config.Flow.timing;
-  add "po=%g" config.Flow.po_fanout;
-  add "unit=%b" config.Flow.unit_loads;
   add "seed=%Ld" config.Flow.seed;
-  add "verify_rounds=%d" config.Flow.verify_rounds;
   add "conflict_budget=%s"
     (match config.Flow.conflict_budget with
     | None -> "-"
     | Some n -> string_of_int n);
-  add "fault_rounds=%d" config.Flow.fault_rounds;
   add "name=%s" sub.Proto.sub_name;
   add "netlist=%b" sub.Proto.sub_netlist;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -13,15 +13,18 @@ val parse_script : Proto.submit -> Flow.step list
 
 val flow_config : base:Flow.config -> Proto.submit -> Flow.config
 (** The submitted overrides resolved against the server defaults, with
-    isolation forced on and within-job parallelism off. *)
+    isolation forced on and within-job parallelism off.  Raises {!Reject}
+    when the params carry an unknown key or a mistyped value
+    ({!Proto.params_error}). *)
 
 val cache_key :
   config:Flow.config -> steps:Flow.step list -> aig:Aig.t -> Proto.submit ->
   string
 (** Content-addressed result key: MD5 over the canonical BLIF print of
-    the parsed AIG (structure, not request text), the canonical script,
-    and the resolved parameters — so textual variants of one job, or an
-    explicit parameter equal to the server default, share an entry. *)
+    the parsed AIG (structure, not request text), the canonical script
+    (which carries every per-pass setting), and the resolved config — so
+    textual variants of one job, or an explicit parameter equal to the
+    server default, share an entry. *)
 
 val result_json :
   config:Flow.config -> steps:Flow.step list -> aig:Aig.t -> Proto.submit ->

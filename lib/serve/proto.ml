@@ -2,10 +2,15 @@
    both directions.  Requests:
 
      {"op":"submit","id":"j1","format":"blif","circuit":"...",
-      "script":"synth(light); map; sta; lint","family":"static",
-      "name":"add16","params":{"cut_size":6,"timing":true,...},
-      "netlist":false}
+      "script":"synth(light); map(cut=5,timing); sta; lint",
+      "family":"static","name":"add16",
+      "params":{"seed":7,"conflict_budget":1000},"netlist":false}
      {"op":"status"}   {"op":"ping"}   {"op":"drain"}
+
+   A pass's own parameters are arguments in the script, checked when it is
+   parsed.  [params] holds only the two settings that span several passes:
+   [seed] (verify, fault, cec) and [conflict_budget] (lint, fault, cec).
+   Any other key is a parse-error naming it.
 
    Terminal replies carry the request's [id] plus a [status]:
 
@@ -28,27 +33,16 @@ let format_of_name = function
   | _ -> None
 
 (* Per-job overrides of the daemon's flow defaults.  Unset fields take the
-   server's configuration; every field is part of the cache key. *)
+   server's configuration; every field is part of the cache key.  Members
+   the daemon cannot use (an unknown key, or a value of the wrong type) are
+   kept in [invalid], so the job is rejected rather than run with defaults. *)
 type params = {
-  cut_size : int option;
-  timing : bool option;
   seed : int64 option;
-  verify_rounds : int option;
   conflict_budget : int option;
-  fault_rounds : int option;
-  max_cuts : int option;
+  invalid : (string * Json_codec.t) list;
 }
 
-let default_params =
-  {
-    cut_size = None;
-    timing = None;
-    seed = None;
-    verify_rounds = None;
-    conflict_budget = None;
-    fault_rounds = None;
-    max_cuts = None;
-  }
+let default_params = { seed = None; conflict_budget = None; invalid = [] }
 
 type submit = {
   sub_id : string;                    (* echoed in the reply envelope *)
@@ -95,17 +89,31 @@ let error_kind_name = function
 (* ---------------- request parsing (server side) ---------------- *)
 
 let params_of_json j =
-  let i k = Json_codec.mem_int j k in
-  let b k = Json_codec.mem_bool j k in
-  {
-    cut_size = i "cut_size";
-    timing = b "timing";
-    seed = Option.map Int64.of_int (i "seed");
-    verify_rounds = i "verify_rounds";
-    conflict_budget = i "conflict_budget";
-    fault_rounds = i "fault_rounds";
-    max_cuts = i "max_cuts";
-  }
+  match Json_codec.obj j with
+  | None -> Error "submit: params must be an object"
+  | Some members ->
+      Ok
+        (List.fold_right
+           (fun (k, v) p ->
+             match (k, Json_codec.int_ v) with
+             | "seed", Some i -> { p with seed = Some (Int64.of_int i) }
+             | "conflict_budget", Some i -> { p with conflict_budget = Some i }
+             | _ -> { p with invalid = (k, v) :: p.invalid })
+           members default_params)
+
+let params_error p =
+  match p.invalid with
+  | [] -> None
+  | (("seed" | "conflict_budget") as k, v) :: _ ->
+      Some
+        (Printf.sprintf "params.%s expects an integer, got %s" k
+           (Json_codec.to_string v))
+  | (k, _) :: _ ->
+      Some
+        (Printf.sprintf
+           "params: unknown key %S (allowed: seed, conflict_budget; a pass's \
+            own parameters are arguments in the script)"
+           k)
 
 let parse_request line : (request, string) result =
   match Json_codec.parse line with
@@ -129,15 +137,15 @@ let parse_request line : (request, string) result =
               let family_name =
                 Option.value (Json_codec.mem_str j "family") ~default:"static"
               in
-              (match Cli_common.family_of_name family_name with
-              | None ->
+              let params =
+                Option.fold ~none:(Ok default_params) ~some:params_of_json
+                  (Json_codec.member "params" j)
+              in
+              (match (Cli_common.family_of_name family_name, params) with
+              | None, _ ->
                   Error (Printf.sprintf "submit: unknown family %S" family_name)
-              | Some family ->
-                  let params =
-                    match Json_codec.member "params" j with
-                    | Some p -> params_of_json p
-                    | None -> default_params
-                  in
+              | _, (Error _ as e) -> e
+              | Some family, Ok params ->
                   Ok
                     (Submit
                        {
@@ -172,16 +180,12 @@ let params_to_json p =
   Json_codec.Obj
     (List.filter_map Fun.id
        [
-         Option.map (fun i -> ("cut_size", num i)) p.cut_size;
-         Option.map (fun b -> ("timing", Json_codec.Bool b)) p.timing;
          Option.map
            (fun s -> ("seed", Json_codec.Num (Int64.to_float s)))
            p.seed;
-         Option.map (fun i -> ("verify_rounds", num i)) p.verify_rounds;
          Option.map (fun i -> ("conflict_budget", num i)) p.conflict_budget;
-         Option.map (fun i -> ("fault_rounds", num i)) p.fault_rounds;
-         Option.map (fun i -> ("max_cuts", num i)) p.max_cuts;
-       ])
+       ]
+    @ p.invalid)
 
 let submit_to_line (s : submit) =
   Json_codec.to_string

@@ -13,18 +13,25 @@ val format_name : format -> string
 val format_of_name : string -> format option
 
 type params = {
-  cut_size : int option;
-  timing : bool option;
   seed : int64 option;
-  verify_rounds : int option;
+      (** pattern seed of [verify], [fault] and [cec] *)
   conflict_budget : int option;
-  fault_rounds : int option;
-  max_cuts : int option;
+      (** SAT conflict cap of [lint], [fault] and [cec] *)
+  invalid : (string * Json_codec.t) list;
+      (** members the daemon cannot use — an unknown key, or a value of
+          the wrong type — in request order; see {!params_error} *)
 }
-(** Per-job overrides of the daemon's flow defaults; unset fields take the
-    server configuration.  Every field is part of the result-cache key. *)
+(** Per-job overrides of the daemon's flow defaults for the settings that
+    span several passes; unset fields take the server configuration.  A
+    pass's own parameters are arguments in the job's script.  Every field
+    is part of the result-cache key. *)
 
 val default_params : params
+
+val params_error : params -> string option
+(** The message naming the first {!params.invalid} member; a job whose
+    params carry one is rejected as a [parse-error]. *)
+
 val params_to_json : params -> Json_codec.t
 
 type submit = {

@@ -47,8 +47,6 @@ let inverter t = t.lib_inv
 let tau_ps t = t.lib_tau
 let num_entries t = t.entry_count
 
-type delay_choice = Worst | Average
-
 let matches t arity tt =
   if arity < 0 || arity > 6 then []
   else
@@ -125,16 +123,8 @@ let build ~name ~free_phases ~tau_ps cells =
 
 let of_cells ~name ~free_phases ~tau_ps cells = build ~name ~free_phases ~tau_ps cells
 
-let pick_delay choice (r : Charlib.row) =
-  match choice with Worst -> r.Charlib.fo4_worst | Average -> r.Charlib.fo4_avg
-
-let cntfet ?(family = Cell_netlist.Tg_static) ?(delay = Worst)
-    ?(with_output_inverter = false) () =
+let cntfet ?(family = Cell_netlist.Tg_static) () =
   let rows = Charlib.characterize_catalog family in
-  let rows =
-    if with_output_inverter then List.map Charlib.with_output_inverter rows
-    else rows
-  in
   let cells =
     List.mapi
       (fun i (r : Charlib.row) ->
@@ -144,7 +134,7 @@ let cntfet ?(family = Cell_netlist.Tg_static) ?(delay = Worst)
           arity = Gate_spec.arity r.Charlib.spec;
           tt = Gate_spec.tt6 r.Charlib.spec;
           area = r.Charlib.area;
-          delay = pick_delay delay r;
+          delay = r.Charlib.fo4_worst;
           timing = Some r.Charlib.timing;
         })
       rows
@@ -165,7 +155,7 @@ let cmos_cell_name = function
   | "F13" -> "NAND3"
   | n -> n ^ "N"
 
-let cmos ?(delay = Worst) () =
+let cmos () =
   let rows = Charlib.characterize_catalog Cell_netlist.Cmos in
   let cells =
     List.mapi
@@ -178,7 +168,7 @@ let cmos ?(delay = Worst) () =
              catalog's positive function (NAND, NOR, AOI, OAI) *)
           tt = Int64.lognot (Gate_spec.tt6 r.Charlib.spec);
           area = r.Charlib.area;
-          delay = pick_delay delay r;
+          delay = r.Charlib.fo4_worst;
           (* the physical netlist Charlib characterized is this inverting
              cell, so its pin table and drive carry over unchanged *)
           timing = Some r.Charlib.timing;
@@ -192,20 +182,19 @@ let cmos ?(delay = Worst) () =
 
    Characterizing and NPN-expanding a family costs far more than any lookup,
    and every driver of the flow needs the same handful of libraries; the
-   cache guarantees each (family, delay) pair is elaborated exactly once per
-   process.  Guarded by a mutex so Domain-parallel runners can share it —
-   the returned libraries themselves are immutable after construction. *)
+   cache guarantees each family is elaborated exactly once per process.
+   Guarded by a mutex so Domain-parallel runners can share it — the
+   returned libraries themselves are immutable after construction. *)
 
-let cache : (Cell_netlist.family * delay_choice, t) Hashtbl.t =
-  Hashtbl.create 16
+let cache : (Cell_netlist.family, t) Hashtbl.t = Hashtbl.create 16
 
 let cache_lock = Mutex.create ()
 let cache_hits = ref 0
 let cache_misses = ref 0
 
-let cached_with_status ?(delay = Worst) family =
+let cached_with_status family =
   Mutex.protect cache_lock (fun () ->
-      match Hashtbl.find_opt cache (family, delay) with
+      match Hashtbl.find_opt cache family with
       | Some lib ->
           incr cache_hits;
           (lib, `Hit)
@@ -213,13 +202,13 @@ let cached_with_status ?(delay = Worst) family =
           incr cache_misses;
           let lib =
             match family with
-            | Cell_netlist.Cmos -> cmos ~delay ()
-            | family -> cntfet ~family ~delay ()
+            | Cell_netlist.Cmos -> cmos ()
+            | family -> cntfet ~family ()
           in
-          Hashtbl.replace cache (family, delay) lib;
+          Hashtbl.replace cache family lib;
           (lib, `Miss))
 
-let cached ?delay family = fst (cached_with_status ?delay family)
+let cached family = fst (cached_with_status family)
 
 type cache_stats = { hits : int; misses : int; entries : int }
 

@@ -61,18 +61,12 @@ val avg_pin_cap : t -> float option
 
 (** {1 Construction} *)
 
-type delay_choice = Worst | Average
-
-val cntfet :
-  ?family:Cell_netlist.family ->
-  ?delay:delay_choice ->
-  ?with_output_inverter:bool ->
-  unit -> t
+val cntfet : ?family:Cell_netlist.family -> unit -> t
 (** Library of the 46 catalog cells characterized by {!Charlib} for the
-    given family (default [Tg_static]).  [with_output_inverter] charges
-    every cell with its output inverter (default [false]).  Free-phase. *)
+    given family (default [Tg_static]), each cell's fixed delay its
+    worst-case FO4 delay.  Free-phase. *)
 
-val cmos : ?delay:delay_choice -> unit -> t
+val cmos : unit -> t
 (** The CMOS reference library: INV, NAND2, NOR2, NAND3, NOR3, OAI21,
     AOI21 — the inverting forms of the 7 CMOS-expressible catalog entries
     — with Table 2 characterization.  Input phases cost inverters. *)
@@ -87,17 +81,16 @@ val cmos_cell_name : string -> string
     per process and shared across {!Domain}s (the cache is mutex-guarded;
     the libraries themselves are immutable once built). *)
 
-val cached : ?delay:delay_choice -> Cell_netlist.family -> t
+val cached : Cell_netlist.family -> t
 (** [cached family] is {!cntfet} (or {!cmos} for [Cell_netlist.Cmos]) served
     from the cache. *)
 
-val cached_with_status :
-  ?delay:delay_choice -> Cell_netlist.family -> t * [ `Hit | `Miss ]
+val cached_with_status : Cell_netlist.family -> t * [ `Hit | `Miss ]
 (** Like {!cached}, also reporting whether this call was served from the
     cache — the flow engine's per-pass cache metric. *)
 
 type cache_stats = { hits : int; misses : int; entries : int }
-(** [entries] is the number of distinct (family, delay) libraries built. *)
+(** [entries] is the number of distinct family libraries built. *)
 
 val cache_stats : unit -> cache_stats
 (** Counters since process start, read as one consistent snapshot under

@@ -1,6 +1,7 @@
+let cut_limit = 12
+
 type params = {
   cut_size : int;
-  cut_limit : int;
   area_passes : int;
   timing : bool;
   engine : Cut.engine;
@@ -13,7 +14,6 @@ type params = {
 let default_params =
   {
     cut_size = 6;
-    cut_limit = 12;
     area_passes = 3;
     timing = false;
     engine = Cut.Packed;
@@ -289,7 +289,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
      dleaf_off/dleaf_buf hold each node's deduplicated union of
      candidate support leaves — the exact read set of a re-evaluation,
      used by the incremental pass-skipping dirty check. *)
-  let climit = params.cut_limit in
+  let climit = cut_limit in
   let t0 = now () in
   (* Engine-generic candidate iterator, canonical order; [kf m s key sup
      leaf_at]: m structural leaves ([leaf_at i]), support [sup] into

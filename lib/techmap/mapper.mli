@@ -9,9 +9,11 @@
     single phase is computed.  In the CMOS library, complement phases cost
     explicit inverter cells, which the mapper inserts and charges. *)
 
+val cut_limit : int
+(** Priority cuts kept per node (12). *)
+
 type params = {
   cut_size : int;      (** K, at most 6 (the largest library pin count) *)
-  cut_limit : int;     (** priority cuts kept per node *)
   area_passes : int;   (** required-time-driven area-recovery iterations *)
   timing : bool;
       (** STA-backed timing mode: the delay-optimal cover and the

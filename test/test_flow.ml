@@ -168,17 +168,17 @@ let test_place_pass () =
   Alcotest.(check bool) "placement error surfaced as diag" true
     (ctx.Flow.placement = None && Diag.has_errors ctx.Flow.diags)
 
-(* out-of-range mapper and fabric values are argument errors naming the
-   argument, never an Invalid_argument from deep inside the pass *)
+(* bad argument values are script errors naming the argument, reported
+   when the script is parsed — never an Invalid_argument from deep inside
+   the pass, nor a crash in the middle of a run *)
 let test_argument_ranges () =
   List.iter
     (fun (script, arg) ->
-      let ctx = Flow.init ~name:"a8" (adder ()) in
-      match Flow.run (Flow.parse_script_exn script) ctx with
-      | exception Flow.Flow_error msg ->
+      match Flow.parse_script script with
+      | Error msg ->
           Alcotest.(check bool) (script ^ " names " ^ arg) true
             (contains ~sub:arg msg)
-      | _ -> Alcotest.failf "%s accepted" script)
+      | Ok _ -> Alcotest.failf "%s accepted" script)
     [
       ("map(cut=1)", "cut");
       ("map(cut=7)", "cut");
@@ -186,6 +186,16 @@ let test_argument_ranges () =
       ("rf(cut=1)", "cut");
       ("map; place(rows=0)", "rows");
       ("map; place(cols=-1)", "cols");
+      ("map(cost=bogus)", "cost");
+      ("synth(fast)", "fast");
+      ("sleep(s=-1)", "sleep: s");
+      ("map(cut=six)", "cut");
+      ("map; sta(po=x)", "po");
+      ("map; verify(seed=1.5)", "seed");
+      ("map; cec(budget=0)", "budget");
+      ("map(family=nmos)", "nmos");
+      ("map(timing=yes)", "timing");
+      ("map; lint(tag)", "tag");
     ];
   (* the boundary values themselves are in range *)
   let ctx, _ =
@@ -585,6 +595,76 @@ let test_cec_pass () =
   | exception Flow.Flow_error _ -> ()
   | _ -> Alcotest.fail "cec before map accepted"
 
+(* ---- golden outputs: each pass's defaults and its explicit arguments ---- *)
+
+(* Digest of everything a mapped run reports: the summary line, the mapped
+   netlist, the STA delay printed exactly, and the fault summary. *)
+let golden_digest (ctx : Flow.ctx) =
+  let m = Option.get ctx.Flow.mapped in
+  Digest.to_hex
+    (Digest.string
+       (Flow.summary_line ctx ^ Blif.mapped_to_string m
+       ^ (match ctx.Flow.sta with
+         | Some sta -> Printf.sprintf "%.17g" (Sta.norm_delay sta)
+         | None -> "")
+       ^
+       match ctx.Flow.fault with
+       | Some f -> Gate_fault.summary_line f
+       | None -> ""))
+
+let golden_cases =
+  let both = [ Cell_netlist.Tg_static; Cell_netlist.Cmos ] in
+  [
+    ( "synth(light); map; sta; verify",
+      both,
+      [
+        ("add-16", "cmos", "797f2fc9b31d67279d9b87753c4058c9");
+        ("add-16", "static", "dd70a427b06d64dd48a41cefc2bddca4");
+        ("t481", "cmos", "61926f6988948563a68708c4800c0c26");
+        ("t481", "static", "0f2acf75f8899b2e250d095a8288ea2d");
+      ] );
+    ( "synth(light); map(cut=5,max-cuts=16,timing); sta(po=2,unit); \
+       verify(rounds=4,seed=7)",
+      both,
+      [
+        ("add-16", "cmos", "e803958c9d676342da8d823d2e8c67ba");
+        ("add-16", "static", "c7e36088592fff7574a9a666b66c4b63");
+        ("t481", "cmos", "36fbfb44108cc4f8c723a72ac00ee5b2");
+        ("t481", "static", "5782c266d661b1fcf9f296ad61c5d43e");
+      ] );
+    ( "synth(light); map; fault",
+      [ Cell_netlist.Tg_static ],
+      [ ("t481", "static", "988860b1d696a455070d600347bc6f2e") ] );
+  ]
+
+let test_golden_outputs () =
+  List.iter
+    (fun (script, families, expected) ->
+      let benches =
+        List.sort_uniq compare (List.map (fun (b, _, _) -> b) expected)
+      in
+      let results =
+        Flow.run_matrix
+          ~script:(Flow.parse_script_exn script)
+          ~families
+          (List.map Bench_suite.find benches)
+      in
+      let got =
+        Array.to_list results
+        |> List.concat_map (fun (r : Flow.bench_result) ->
+               List.map
+                 (fun (fam, ctx, _) ->
+                   ( r.Flow.br_bench,
+                     Cli_common.family_arg_name fam,
+                     golden_digest ctx ))
+                 r.Flow.br_per_family)
+      in
+      Alcotest.(check (list (triple string string string)))
+        script
+        (List.sort compare expected)
+        (List.sort compare got))
+    golden_cases
+
 let () =
   Alcotest.run "flow"
     [
@@ -609,6 +689,7 @@ let () =
           Alcotest.test_case "argument ranges" `Quick test_argument_ranges;
           Alcotest.test_case "ordering errors" `Quick
             test_pass_ordering_errors;
+          Alcotest.test_case "golden outputs" `Quick test_golden_outputs;
         ] );
       ( "metrics",
         [

@@ -393,29 +393,49 @@ let test_budgets_and_cec () =
   close_conn c;
   Alcotest.(check int) "clean exit" 0 (daemon_exit_code pid)
 
-(* ---- out-of-range mapper parameters: typed reject, not a crash ---- *)
+(* ---- bad pass arguments and params: typed reject, not a crash ---- *)
 
 let test_param_ranges () =
   with_daemon (start_daemon ~workers:1 ()) @@ fun (pid, sock) ->
   let c = connect sock in
+  let circuit = bench_blif "t481" in
+  (* the plain job is served and cached first, so no reject below can be a
+     text-cache hit in disguise *)
+  let r = parse_reply (rpc c (submit_line ~id:"ok" circuit)) in
+  Alcotest.(check bool) "plain job served" true (is_ok r);
+  (* a raw line, as a client that misspells or predates the protocol sends
+     it, with the plain job's script *)
+  let raw ~id params =
+    Printf.sprintf
+      {|{"op":"submit","id":"%s","script":"b; rw; map; sta; lint","params":%s,"circuit":%s}|}
+      id params
+      (Json_codec.to_string (Json_codec.Str circuit))
+  in
   List.iter
-    (fun (id, field, params) ->
-      let r =
-        parse_reply (rpc c (submit_line ~id ~params (bench_blif "t481")))
-      in
-      check_kind (id ^ " rejected") "parse-error" r;
-      Alcotest.(check (option int)) (id ^ " not retried") (Some 1)
-        (Json_codec.mem_int r "attempts");
-      let message = Option.value (reply_field r "message") ~default:"" in
-      Alcotest.(check bool) (id ^ " names " ^ field) true
-        (contains ~sub:field message))
+    (fun (id, names, line) ->
+      (* twice: a rejected job is never cached *)
+      for _ = 1 to 2 do
+        let r = parse_reply (rpc c line) in
+        check_kind (id ^ " rejected") "parse-error" r;
+        Alcotest.(check (option int)) (id ^ " not retried") (Some 1)
+          (Json_codec.mem_int r "attempts");
+        let message = Option.value (reply_field r "message") ~default:"" in
+        Alcotest.(check bool) (id ^ " names " ^ names) true
+          (contains ~sub:names message)
+      done)
     [
-      ("c1", "cut_size", { Proto.default_params with Proto.cut_size = Some 1 });
-      ("m5", "max_cuts", { Proto.default_params with Proto.max_cuts = Some 5 });
+      ("c1", "cut", submit_line ~id:"c1" ~script:"map(cut=1)" circuit);
+      ("m5", "max-cuts", submit_line ~id:"m5" ~script:"map(max-cuts=5)" circuit);
+      ("typo", "cut-size", raw ~id:"typo" {|{"cut-size":9,"timng":true}|});
+      ("stale", "timing", raw ~id:"stale" {|{"seed":7,"timing":true}|});
+      ("mistyped", "seed", raw ~id:"mistyped" {|{"seed":"7"}|});
     ];
-  (* the daemon and the connection are fine afterwards *)
-  let r = parse_reply (rpc c (submit_line ~id:"ok" (bench_blif "t481"))) in
-  Alcotest.(check bool) "in-range job still served" true (is_ok r);
+  (* the two params keys that remain are accepted, and the daemon and the
+     connection are fine afterwards *)
+  let r =
+    parse_reply (rpc c (raw ~id:"kept" {|{"seed":7,"conflict_budget":1000}|}))
+  in
+  Alcotest.(check bool) "seed and conflict_budget accepted" true (is_ok r);
   ignore (rpc c (Proto.simple_to_line "drain"));
   close_conn c;
   Alcotest.(check int) "clean exit" 0 (daemon_exit_code pid)
