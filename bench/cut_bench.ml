@@ -106,17 +106,19 @@ let measure lib (e : Bench_suite.entry) engine n =
         let rss =
           match Cli_common.peak_rss_kb () with Some v -> v | None -> -1
         in
-        Printf.sprintf "%.6f %d %d %d %d %d %d %s" (1000.0 *. !best)
+        Printf.sprintf "%.6f %d %d %d %d %d %d %d %s" (1000.0 *. !best)
           stats.Cut.built stats.Cut.dominated stats.Cut.sign_rejects
-          stats.Cut.tt_merges stats.Cut.probes rss digest)
+          stats.Cut.tt_merges stats.Cut.refills stats.Cut.probes rss digest)
   in
-  Scanf.sscanf line "%f %d %d %d %d %d %d %s"
-    (fun ms built dominated sign_rejects tt_merges probes rss_kb digest ->
+  Scanf.sscanf line "%f %d %d %d %d %d %d %d %s"
+    (fun ms built dominated sign_rejects tt_merges refills probes rss_kb
+         digest ->
       let stats = Cut.stats_create () in
       stats.Cut.built <- built;
       stats.Cut.dominated <- dominated;
       stats.Cut.sign_rejects <- sign_rejects;
       stats.Cut.tt_merges <- tt_merges;
+      stats.Cut.refills <- refills;
       stats.Cut.probes <- probes;
       { ms; stats; rss_kb; digest })
 
@@ -186,14 +188,15 @@ let () =
          \"packed_ms\": %.3f, \"speedup\": %.3f, \"identical\": %b, \
          \"ref_peak_rss_kb\": %s, \"packed_peak_rss_kb\": %s, \
          \"cut\": {\"built\": %d, \"dominated\": %d, \"sign_rejects\": %d, \
-         \"sign_reject_ratio\": %.3f, \"tt_merges\": %d, \"probes\": %d}}"
+         \"sign_reject_ratio\": %.3f, \"tt_merges\": %d, \"refills\": %d, \
+         \"probes\": %d}}"
         row.bench row.ands row.r.ms row.p.ms
         (row.r.ms /. row.p.ms)
         (row.r.digest = row.p.digest)
         (json_rss row.r.rss_kb) (json_rss row.p.rss_kb)
         row.p.stats.Cut.built row.p.stats.Cut.dominated
         row.p.stats.Cut.sign_rejects ratio row.p.stats.Cut.tt_merges
-        row.p.stats.Cut.probes)
+        row.p.stats.Cut.refills row.p.stats.Cut.probes)
     rows;
   Printf.bprintf b
     "\n  ],\n  \"total\": {\"ref_ms\": %.3f, \"packed_ms\": %.3f, \

@@ -153,6 +153,7 @@ type stats = {
   mutable dominated : int;
   mutable sign_rejects : int;
   mutable tt_merges : int;
+  mutable refills : int;
   mutable probes : int;
   mutable reevals : int;
   mutable reeval_skips : int;
@@ -164,6 +165,7 @@ let stats_create () =
     dominated = 0;
     sign_rejects = 0;
     tt_merges = 0;
+    refills = 0;
     probes = 0;
     reevals = 0;
     reeval_skips = 0;
@@ -174,6 +176,7 @@ let stats_add acc s =
   acc.dominated <- acc.dominated + s.dominated;
   acc.sign_rejects <- acc.sign_rejects + s.sign_rejects;
   acc.tt_merges <- acc.tt_merges + s.tt_merges;
+  acc.refills <- acc.refills + s.refills;
   acc.probes <- acc.probes + s.probes;
   acc.reevals <- acc.reevals + s.reevals;
   acc.reeval_skips <- acc.reeval_skips + s.reeval_skips
@@ -236,12 +239,22 @@ let () =
     h_keep.(q) <- lnot (lo_hi lor hi_lo) land 0xFFFFFFFF
   done
 
-let compute_packed ?stats ?max_cuts aig ~k ~limit =
+(* Priority-cut key order between the [la] leaves of [a] at [oa] and the
+   [lb] leaves of [b] at [ob]: leaf count first, then lexicographic. *)
+let cmp_key (a : int array) oa la (b : int array) ob lb =
+  if la <> lb then compare la lb
+  else begin
+    let r = ref 0 and i = ref 0 in
+    while !r = 0 && !i < la do
+      r := compare a.(oa + !i) b.(ob + !i);
+      incr i
+    done;
+    !r
+  end
+
+let compute_packed ?stats aig ~k ~limit =
   if k < 2 || k > 6 then invalid_arg "Cut.compute_packed";
   if limit < 2 then invalid_arg "Cut.compute_packed: limit";
-  (match max_cuts with
-  | Some m when m < limit -> invalid_arg "Cut.compute_packed: max_cuts < limit"
-  | _ -> ());
   let st = match stats with Some s -> s | None -> stats_create () in
   let n = Aig.num_nodes aig in
   let nslots = n * limit in
@@ -265,45 +278,51 @@ let compute_packed ?stats ?max_cuts aig ~k ~limit =
     set_trivial i
   done;
   (* Scratch candidate set, sorted ascending by (leaf count, lex leaves).
-     The default capacity [limit * limit] holds every survivor of a node's
-     full cross-product: truncating to [limit - 1] only at commit time is
-     what makes the bounded insertion path exactly equivalent to the
-     reference engine's collect/sort/take (a candidate that evicts several
-     dominated cuts can make room that earlier-rejected cuts of a smaller
-     buffer would have needed).  [?max_cuts] lowers the capacity to bound
-     per-node work and scratch on very large graphs: insertion into a full
-     scratch drops the worst-sorted entry (priority-cut truncation), so
-     results may deviate from the reference engine — never use it on a run
-     that must be byte-identical to the defaults. *)
-  let cap =
-    match max_cuts with
-    | None -> limit * limit
-    | Some m -> min m (limit * limit)
-  in
-  let s_len = Array.make cap 0 in
-  let s_sign = Array.make cap 0 in
-  let s_tt_lo = Array.make cap 0 in
-  let s_tt_hi = Array.make cap 0 in
-  let s_leaves = Array.make (cap * k) 0 in
+     A node is first enumerated with capacity [limit]: inserting into a
+     full scratch drops the worst entry (or the candidate itself when it
+     sorts past every entry), and [d_len]/[d_leaves] remember the
+     smallest key dropped that way.  The result stands when [certified]
+     proves it exact; otherwise the node is enumerated again at capacity
+     [limit²], which holds every survivor of the full cross-product —
+     nothing is dropped there, and truncating to [limit - 1] at commit
+     time is exactly the reference engine's collect/sort/take. *)
+  let full_cap = limit * limit in
+  let s_len = Array.make full_cap 0 in
+  let s_sign = Array.make full_cap 0 in
+  let s_tt_lo = Array.make full_cap 0 in
+  let s_tt_hi = Array.make full_cap 0 in
+  let s_leaves = Array.make (full_cap * k) 0 in
   let m_leaves = Array.make k 0 in
   (* positions of each fanin-cut leaf inside the merged leaf order *)
   let pos_a = Array.make k 0 in
   let pos_b = Array.make k 0 in
   let cnt = ref 0 in
   let mlen = ref 0 in
+  (* smallest key dropped for room at the current node; 0 = none *)
+  let d_len = ref 0 in
+  let d_leaves = Array.make k 0 in
   (* candidate vs scratch entry [e]: (leaf count, lex leaves) order *)
-  let cmp_entry e =
-    let le = s_len.(e) in
-    if le <> !mlen then compare le !mlen
-    else begin
-      let oe = e * k in
-      let r = ref 0 and i = ref 0 in
-      while !r = 0 && !i < !mlen do
-        r := compare s_leaves.(oe + !i) m_leaves.(!i);
-        incr i
-      done;
-      !r
+  let cmp_entry e = cmp_key s_leaves (e * k) s_len.(e) m_leaves 0 !mlen in
+  let note_drop src o len =
+    if !d_len = 0 || cmp_key src o len d_leaves 0 !d_len < 0 then begin
+      Array.blit src o d_leaves 0 len;
+      d_len := len
     end
+  in
+  (* Nothing was dropped, or the first [limit - 1] entries — the ones
+     committed — all sort strictly before the smallest dropped key.  A
+     candidate's dominators sort before it (a proper subset has fewer
+     leaves), a candidate evicts only entries sorting after it, and a
+     drop for room removes only keys >= the smallest dropped key; so the
+     entries before that key are exactly the unbounded run's, and a
+     committed prefix lying wholly before it is the unbounded run's
+     prefix. *)
+  let certified () =
+    !d_len = 0
+    || !cnt >= limit - 1
+       && cmp_key s_leaves ((limit - 2) * k) s_len.(limit - 2) d_leaves 0
+            !d_len
+          < 0
   in
   (* entry [e]'s leaves ⊆ merged leaves (both sorted) *)
   let entry_subset_of_cand e =
@@ -381,23 +400,21 @@ let compute_packed ?stats ?max_cuts aig ~k ~limit =
     e_lo := !lo;
     e_hi := !hi
   in
-  Aig.iter_ands aig (fun nd ->
-      let f0 = Aig.fanin0 aig nd and f1 = Aig.fanin1 aig nd in
-      let n0 = Aig.node_of f0 and n1 = Aig.node_of f1 in
-      let x0 = if Aig.is_compl f0 then 0xFFFFFFFF else 0 in
-      let x1 = if Aig.is_compl f1 then 0xFFFFFFFF else 0 in
-      cnt := 0;
-      for ja = 0 to cnum.(n0) - 1 do
-        for jb = 0 to cnum.(n1) - 1 do
-          let sa = (n0 * limit) + ja and sb = (n1 * limit) + jb in
-          let la = clen.(sa) and lb = clen.(sb) in
-          let sgn = csign.(sa) lor csign.(sb) in
-          if la + lb > k && popcount sgn > k then
-            (* provably more than [k] distinct leaves: the walk below could
-               only fail, and failed walks touch neither stats nor scratch,
-               so skipping is invisible *)
-            ()
-          else begin
+  (* One node's cross-product at capacity [cap], into the scratch. *)
+  let enumerate n0 n1 x0 x1 cap =
+    cnt := 0;
+    d_len := 0;
+    for ja = 0 to cnum.(n0) - 1 do
+      for jb = 0 to cnum.(n1) - 1 do
+        let sa = (n0 * limit) + ja and sb = (n1 * limit) + jb in
+        let la = clen.(sa) and lb = clen.(sb) in
+        let sgn = csign.(sa) lor csign.(sb) in
+        if la + lb > k && popcount sgn > k then
+          (* provably more than [k] distinct leaves: the walk below could
+             only fail, and failed walks touch neither stats nor scratch,
+             so skipping is invisible *)
+          ()
+        else begin
           let oa = sa * k and ob = sb * k in
           (* sorted-union walk, tracking each side's leaf positions *)
           let i = ref 0 and j = ref 0 and m = ref 0 in
@@ -452,10 +469,11 @@ let compute_packed ?stats ?max_cuts aig ~k ~limit =
                 incr e
               end
             done;
-            (* A candidate sorting past a full scratch has nothing after it
-               to dominate ([ins = cnt = cap]); dropping it is the
-               truncation [max_cuts] documents. *)
-            if (not !drop) && not (!ins < 0 && !cnt >= cap) then begin
+            if !drop then ()
+            else if !ins < 0 && !cnt >= cap then
+              (* sorts past a full scratch: nothing after it to dominate *)
+              note_drop m_leaves 0 !mlen
+            else begin
               let ins = if !ins < 0 then !cnt else !ins in
               (* evict entries the candidate dominates *)
               let w = ref ins in
@@ -479,7 +497,10 @@ let compute_packed ?stats ?max_cuts aig ~k ~limit =
               done;
               cnt := !w;
               (* full after eviction: drop the worst entry to make room *)
-              if !cnt >= cap then cnt := cap - 1;
+              if !cnt >= cap then begin
+                note_drop s_leaves ((cap - 1) * k) s_len.(cap - 1);
+                cnt := cap - 1
+              end;
               (* shift-insert the candidate at [ins]: one overlapping blit
                  per column (memmove) instead of an entry-at-a-time loop *)
               let nshift = !cnt - ins in
@@ -506,9 +527,20 @@ let compute_packed ?stats ?max_cuts aig ~k ~limit =
               st.tt_merges <- st.tt_merges + 1
             end
           end
-          end
-        done
-      done;
+        end
+      done
+    done
+  in
+  Aig.iter_ands aig (fun nd ->
+      let f0 = Aig.fanin0 aig nd and f1 = Aig.fanin1 aig nd in
+      let n0 = Aig.node_of f0 and n1 = Aig.node_of f1 in
+      let x0 = if Aig.is_compl f0 then 0xFFFFFFFF else 0 in
+      let x1 = if Aig.is_compl f1 then 0xFFFFFFFF else 0 in
+      enumerate n0 n1 x0 x1 limit;
+      if not (certified ()) then begin
+        st.refills <- st.refills + 1;
+        enumerate n0 n1 x0 x1 full_cap
+      end;
       (* commit the best [limit - 1] cuts, then the trivial cut last *)
       let ncommit = min !cnt (limit - 1) in
       let base = nd * limit in

@@ -38,20 +38,26 @@ type engine =
   | Reference  (** legacy lists + per-cut cone walks, for differential runs *)
 
 (** Hot-path counters, accumulated by whichever subsystem owns the record
-    (one per pass in the flow).  [built] counts candidate cuts accepted
-    into a node's scratch set (including later-evicted ones), [dominated]
-    counts candidates dropped — or evicted — by the dominance filter,
-    [sign_rejects] counts subset walks skipped by the signature pre-filter,
-    [tt_merges] counts incremental truth-table merges, and [probes] counts
-    match-table lookups (filled in by the mapper).  [reevals] /
-    [reeval_skips] count (node, pass) matching evaluations performed
-    vs. skipped by the mapper's exact dirty-propagation (also filled in
-    by the mapper; both are deterministic for every [jobs] value). *)
+    (one per pass in the flow).  The first four count work in the packed
+    engine's bounded candidate scratch, re-runs included: [built] counts
+    candidate cuts accepted into a node's scratch (including later-evicted
+    or dropped ones), [dominated] counts candidates dropped — or evicted —
+    by the dominance filter, [sign_rejects] counts subset walks skipped by
+    the signature pre-filter, and [tt_merges] counts incremental
+    truth-table merges.  A candidate sorting past a full scratch is neither
+    built nor dominated.  [refills] counts nodes whose bounded enumeration
+    could not be certified exact and was re-run at full capacity.
+    [probes] counts match-table lookups (filled in by the mapper).
+    [reevals] / [reeval_skips] count (node, pass) matching evaluations
+    performed vs. skipped by the mapper's exact dirty-propagation (also
+    filled in by the mapper; both are deterministic for every [jobs]
+    value). *)
 type stats = {
   mutable built : int;
   mutable dominated : int;
   mutable sign_rejects : int;
   mutable tt_merges : int;
+  mutable refills : int;
   mutable probes : int;
   mutable reevals : int;
   mutable reeval_skips : int;
@@ -68,18 +74,16 @@ type set
     count, signature, leaves (sorted) and the truth table of [nd] over
     those leaves as a single replicated word ([k <= 6]). *)
 
-val compute_packed :
-  ?stats:stats -> ?max_cuts:int -> Aig.t -> k:int -> limit:int -> set
+val compute_packed : ?stats:stats -> Aig.t -> k:int -> limit:int -> set
 (** Same cut sets as {!compute} (cut [j] of [compute_packed] equals the
     [j]-th list element from [compute]), with each cut's function computed
     bottom-up during the merge.  [2 <= k <= 6].
 
-    [max_cuts] bounds the per-node candidate scratch (default
-    [limit * limit], which is exact).  Lower values truncate priority-cut
-    style — a candidate that sorts past a full scratch is dropped, and an
-    insertion into a full scratch evicts the worst-sorted entry — trading
-    exact reference equivalence for bounded work on very large graphs.
-    Must be at least [limit] when given. *)
+    Each node is enumerated in a [limit]-entry candidate scratch with
+    priority-cut truncation, and the result is certified exact when every
+    committed cut sorts before the smallest key truncation dropped; a node
+    that cannot be certified is enumerated again in a [limit²]-entry
+    scratch, which is exact (counted in [stats.refills]). *)
 
 val num_cuts : set -> int -> int
 val cut_nleaves : set -> int -> int -> int

@@ -574,14 +574,14 @@ let analyze ?(learn = true) (m : Mapped.t) =
   Array.iteri
     (fun j (inst : Mapped.instance) ->
       let k = Array.length inst.Mapped.fanins in
-      let tbl = Hashtbl.create 16 in
+      let tbl = Word_tbl.create 16 in
       let see fi =
         match err.(fi) with
         | None -> ()
         | Some e -> (
-            match Hashtbl.find_opt tbl e with
+            match Word_tbl.find_opt tbl e with
             | Some fi0 -> uf_union uf fi0 fi
-            | None -> Hashtbl.add tbl e fi)
+            | None -> Word_tbl.add tbl e fi)
       in
       List.iter
         (fun stuck ->

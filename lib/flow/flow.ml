@@ -145,10 +145,9 @@ let pass_synth step =
   | [ ("none", None) ] -> fun _cfg ctx -> ctx
   | _ -> fail "synth: expects a single mode (none|light|full)"
 
-(* The mapper's defaults are [Mapper.default_params]: cut size 6, the exact
-   cut_limit² candidate bound, delay-then-area covering.  Out-of-range
-   values would otherwise surface as an [Invalid_argument] deep inside cut
-   enumeration. *)
+(* The mapper's defaults are [Mapper.default_params]: cut size 6,
+   delay-then-area covering.  Out-of-range values would otherwise surface
+   as an [Invalid_argument] deep inside cut enumeration. *)
 let pass_map step =
   let family = arg_family step "family" in
   let cut_size =
@@ -157,13 +156,6 @@ let pass_map step =
         fail "map: cut expects a cut size from 2 to 6, got %d" k
     | Some k -> k
     | None -> Mapper.default_params.Mapper.cut_size
-  in
-  let max_cuts =
-    match arg_int step "max-cuts" with
-    | Some n when n < Mapper.cut_limit ->
-        fail "map: max-cuts expects at least the priority-cut limit %d, got %d"
-          Mapper.cut_limit n
-    | m -> m
   in
   let cost =
     match arg_value step "cost" with
@@ -177,7 +169,6 @@ let pass_map step =
       Mapper.cut_size;
       timing = arg_flag step "timing";
       cost;
-      max_cuts;
     }
   in
   fun cfg ctx ->
@@ -465,9 +456,9 @@ let registry : (string * pass_info) list =
         p_args = [ "none"; "light"; "full" ]; p_apply = pass_synth } );
     ( "map",
       { p_doc =
-          "technology mapping [family=F, cut=K (2-6, default 6), max-cuts=N \
-           (>= 12), timing, cost=area|testability]";
-        p_args = [ "family"; "cut"; "max-cuts"; "timing"; "cost" ];
+          "technology mapping [family=F, cut=K (2-6, default 6), timing, \
+           cost=area|testability]";
+        p_args = [ "family"; "cut"; "timing"; "cost" ];
         p_apply = pass_map } );
     ( "sta",
       { p_doc =
@@ -755,6 +746,7 @@ let cut_built s = cut_counter (fun c -> c.Cut.built) s
 let cut_dominated s = cut_counter (fun c -> c.Cut.dominated) s
 let cut_sign_rejects s = cut_counter (fun c -> c.Cut.sign_rejects) s
 let cut_tt_merges s = cut_counter (fun c -> c.Cut.tt_merges) s
+let cut_refills s = cut_counter (fun c -> c.Cut.refills) s
 let cut_probes s = cut_counter (fun c -> c.Cut.probes) s
 let cut_reevals s = cut_counter (fun c -> c.Cut.reevals) s
 let cut_reeval_skips s = cut_counter (fun c -> c.Cut.reeval_skips) s
@@ -807,8 +799,8 @@ let render_samples samples =
 let samples_tsv_header =
   "#circuit\tfamily\tpass\twall_ms\tands_in\tands_out\tdepth_in\tdepth_out\t\
    gates\tarea\tnorm_delay\tabs_ps\tsta_ps\tcache\tcuts_built\t\
-   cuts_dominated\tsign_rejects\ttt_merges\tmatch_probes\tmatch_reevals\t\
-   match_skips\tfaults\t\
+   cuts_dominated\tsign_rejects\ttt_merges\tcut_refills\tmatch_probes\t\
+   match_reevals\tmatch_skips\tfaults\t\
    fault_cov\tfault_unknown\ttb_classes\ttb_collapsed\ttb_redundant\t\
    sat_solves\tsat_conflicts\tsat_props\tsat_restarts\tsat_learned\t\
    gc_minor_words\tgc_major_words\tgc_compactions\tnew_diags"
@@ -816,7 +808,8 @@ let samples_tsv_header =
 let sample_to_tsv s =
   Printf.sprintf
     "%s\t%s\t%s\t%.3f\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\
-     %s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d"
+     %s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\
+     %d"
     s.sm_circuit s.sm_family s.sm_pass (1000.0 *. s.sm_wall_s) s.sm_ands_before
     s.sm_ands_after s.sm_depth_before s.sm_depth_after
     (match s.sm_mapped with
@@ -834,6 +827,7 @@ let sample_to_tsv s =
     (iopt (cut_dominated s))
     (iopt (cut_sign_rejects s))
     (iopt (cut_tt_merges s))
+    (iopt (cut_refills s))
     (iopt (cut_probes s))
     (iopt (cut_reevals s))
     (iopt (cut_reeval_skips s))
@@ -887,10 +881,10 @@ let samples_to_json samples =
         | Some c ->
             Printf.sprintf
               "{\"built\":%d,\"dominated\":%d,\"sign_rejects\":%d,\
-               \"tt_merges\":%d,\"probes\":%d,\"reevals\":%d,\
-               \"reeval_skips\":%d}"
+               \"tt_merges\":%d,\"refills\":%d,\"probes\":%d,\
+               \"reevals\":%d,\"reeval_skips\":%d}"
               c.Cut.built c.Cut.dominated c.Cut.sign_rejects c.Cut.tt_merges
-              c.Cut.probes c.Cut.reevals c.Cut.reeval_skips)
+              c.Cut.refills c.Cut.probes c.Cut.reevals c.Cut.reeval_skips)
         (match s.sm_fault with
         | None -> "null"
         | Some f ->
@@ -1115,7 +1109,10 @@ module Checkpoint = struct
     ck_samples : sample list;
   }
 
-  let magic = "cntfet-flow-checkpoint-v1\n"
+  (* Marshal trusts the file's layout, so bump the version whenever
+     [entry], [sample], [Diag.t] or [Cut.stats] changes: a file from an
+     older layout then loads as empty instead of being misread. *)
+  let magic = "cntfet-flow-checkpoint-v2\n"
 
   (* Atomic: marshal to a process-unique temp file in the same directory,
      then rename over the target.  A crash (even SIGKILL) mid-save leaves

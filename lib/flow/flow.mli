@@ -98,9 +98,8 @@ val parse_script : string -> (step list, string) result
     the argument: unknown pass names and argument keys, and bad argument
     values — a malformed number, a flag given a value, an unknown family,
     cost or synth mode, and out-of-range values ([map(cut=K)] outside
-    2..6, [map(max-cuts=N)] below {!Mapper.cut_limit}, [rf(cut=K)] below
-    2, non-positive [place] dimensions or [cec] budget, a negative
-    [sleep(s=S)]). *)
+    2..6, [rf(cut=K)] below 2, non-positive [place] dimensions or [cec]
+    budget, a negative [sleep(s=S)]). *)
 
 val parse_script_exn : string -> step list
 (** Raises {!Flow_error}. *)

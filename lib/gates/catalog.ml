@@ -86,28 +86,29 @@ let match_entry = function
 
 let lookup_tables =
   lazy
-    (let exact = Hashtbl.create 97 in
-     let compl_ = Hashtbl.create 97 in
-     let npn = Hashtbl.create 97 in
+    (let exact = Word_tbl.create 97 in
+     let compl_ = Word_tbl.create 97 in
+     (* the NPN table is keyed by (support size, class): one per size *)
+     let npn = Array.init 7 (fun _ -> Word_tbl.create 97) in
      List.iter
        (fun e ->
          let tt = Gate_spec.tt6 e.spec in
-         if not (Hashtbl.mem exact tt) then Hashtbl.add exact tt e;
-         if not (Hashtbl.mem compl_ (Int64.lognot tt)) then
-           Hashtbl.add compl_ (Int64.lognot tt) e;
+         if not (Word_tbl.mem exact tt) then Word_tbl.add exact tt e;
+         if not (Word_tbl.mem compl_ (Int64.lognot tt)) then
+           Word_tbl.add compl_ (Int64.lognot tt) e;
          let small, sup = Npn.shrink tt 6 in
          let k = Array.length sup in
-         let key = (k, Npn.canonical_cached k small) in
-         if not (Hashtbl.mem npn key) then Hashtbl.add npn key e)
+         let key = Npn.canonical_cached k small in
+         if not (Word_tbl.mem npn.(k) key) then Word_tbl.add npn.(k) key e)
        all;
      (exact, compl_, npn))
 
 let find_by_function tt =
   let exact, compl_, npn = Lazy.force lookup_tables in
-  match Hashtbl.find_opt exact tt with
+  match Word_tbl.find_opt exact tt with
   | Some e -> Some (Exact e)
   | None -> (
-      match Hashtbl.find_opt compl_ tt with
+      match Word_tbl.find_opt compl_ tt with
       | Some e -> Some (Complement e)
       | None ->
           let small, sup = Npn.shrink tt 6 in
@@ -116,4 +117,4 @@ let find_by_function tt =
           else
             Option.map
               (fun e -> Npn_class e)
-              (Hashtbl.find_opt npn (k, Npn.canonical_cached k small)))
+              (Word_tbl.find_opt npn.(k) (Npn.canonical_cached k small)))

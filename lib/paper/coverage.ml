@@ -21,7 +21,7 @@ let full_support k tt =
 let analyze lib k =
   if k < 1 || k > 4 then invalid_arg "Coverage.analyze";
   let total = ref 0 and free = ref 0 and any = ref 0 in
-  let classes = Hashtbl.create 64 in
+  let classes = Word_tbl.create 64 in
   (* class -> covered with a free match? *)
   for bits = 0 to (1 lsl (1 lsl k)) - 1 do
     let tt = replicate k bits in
@@ -40,12 +40,12 @@ let analyze lib k =
       if has_free then incr free;
       if has_any then incr any;
       let c = Npn.canonical_cached k tt in
-      let prev = try Hashtbl.find classes c with Not_found -> false in
-      Hashtbl.replace classes c (prev || has_free)
+      let prev = try Word_tbl.find classes c with Not_found -> false in
+      Word_tbl.replace classes c (prev || has_free)
     end
   done;
-  let npn_total = Hashtbl.length classes in
-  let npn_cov = Hashtbl.fold (fun _ b acc -> if b then acc + 1 else acc) classes 0 in
+  let npn_total = Word_tbl.length classes in
+  let npn_cov = Word_tbl.fold (fun _ b acc -> if b then acc + 1 else acc) classes 0 in
   {
     k;
     total = !total;

@@ -20,7 +20,7 @@ type t = {
   lib_cells : cell list;
   lib_free_phases : bool;
   lib_inv : cell option;
-  tables : (int64, match_entry list) Hashtbl.t array; (* index = arity *)
+  tables : match_entry list Word_tbl.t array; (* index = arity *)
   lib_tau : float;
   mutable entry_count : int;
 }
@@ -50,7 +50,7 @@ let num_entries t = t.entry_count
 let matches t arity tt =
   if arity < 0 || arity > 6 then []
   else
-    match Hashtbl.find_opt t.tables.(arity) tt with
+    match Word_tbl.find_opt t.tables.(arity) tt with
     | Some es -> es
     | None -> []
 
@@ -58,7 +58,7 @@ let matches t arity tt =
    another. *)
 let insert_entry t arity key ke =
   let tbl = t.tables.(arity) in
-  let existing = try Hashtbl.find tbl key with Not_found -> [] in
+  let existing = try Word_tbl.find tbl key with Not_found -> [] in
   let dominated e =
     e.cell.area >= ke.cell.area -. 1e-12 && e.cell.delay >= ke.cell.delay -. 1e-12
   in
@@ -69,7 +69,7 @@ let insert_entry t arity key ke =
   else begin
     let kept = List.filter (fun e -> not (dominated e)) existing in
     t.entry_count <- t.entry_count + 1 - (List.length existing - List.length kept);
-    Hashtbl.replace tbl key (ke :: kept)
+    Word_tbl.replace tbl key (ke :: kept)
   end
 
 let expand t cell =
@@ -113,7 +113,7 @@ let build ~name ~free_phases ~tau_ps cells =
       lib_cells = cells;
       lib_free_phases = free_phases;
       lib_inv = List.find_opt is_inverter cells;
-      tables = Array.init 7 (fun _ -> Hashtbl.create 1024);
+      tables = Array.init 7 (fun _ -> Word_tbl.create 1024);
       lib_tau = tau_ps;
       entry_count = 0;
     }

@@ -1,3 +1,4 @@
+(* priority cuts kept per node *)
 let cut_limit = 12
 
 type params = {
@@ -7,7 +8,6 @@ type params = {
   engine : Cut.engine;
   cost : (Cell_lib.cell -> float) option;
   jobs : int;
-  max_cuts : int option;
   incremental : bool;
 }
 
@@ -19,7 +19,6 @@ let default_params =
     engine = Cut.Packed;
     cost = None;
     jobs = 1;
-    max_cuts = None;
     incremental = true;
   }
 
@@ -297,10 +296,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   let iter_cands =
     match params.engine with
     | Cut.Packed ->
-        let cs =
-          Cut.compute_packed ~stats ?max_cuts:params.max_cuts aig ~k
-            ~limit:climit
-        in
+        let cs = Cut.compute_packed ~stats aig ~k ~limit:climit in
         fun nd kf ->
           for j = 0 to Cut.num_cuts cs nd - 1 do
             let m = Cut.cut_nleaves cs nd j in
@@ -416,19 +412,19 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
         end
       done);
   (* Pass C (sequential): assign entry groups and resolve the library
-     match lists, once per distinct (arity, key). *)
-  let gtbl : (int * int64, int) Hashtbl.t = Hashtbl.create 4096 in
+     match lists, once per distinct (arity, key); one table per arity. *)
+  let gtbl = Array.init 7 (fun _ -> Word_tbl.create 256) in
   let groups = ref [] and ngroups = ref 0 in
   for c = 0 to ncand - 1 do
     let s = Bytes.get_uint8 cand_arity c in
     if s >= 2 then begin
       let key = Bigarray.Array1.get cand_key c in
-      match Hashtbl.find_opt gtbl (s, key) with
+      match Word_tbl.find_opt gtbl.(s) key with
       | Some g -> cand_gid.(c) <- g
       | None ->
           let g = !ngroups in
           incr ngroups;
-          Hashtbl.add gtbl (s, key) g;
+          Word_tbl.add gtbl.(s) key g;
           let ep = Cell_lib.matches lib s key in
           let en =
             (* free-phase libraries map a single phase; the negative

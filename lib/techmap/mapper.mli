@@ -9,9 +9,6 @@
     single phase is computed.  In the CMOS library, complement phases cost
     explicit inverter cells, which the mapper inserts and charges. *)
 
-val cut_limit : int
-(** Priority cuts kept per node (12). *)
-
 type params = {
   cut_size : int;      (** K, at most 6 (the largest library pin count) *)
   area_passes : int;   (** required-time-driven area-recovery iterations *)
@@ -49,11 +46,6 @@ type params = {
           all under a single pool dispatch per pass
           ({!Par.run_phases}).  The chosen cover — and hence the
           netlist — is byte-identical for every [jobs] value. *)
-  max_cuts : int option;
-      (** Per-node candidate scratch bound handed to
-          {!Cut.compute_packed} (default [None] = [cut_limit²], which is
-          exact; see its doc for the truncation semantics of lower
-          values).  Ignored by the reference engine. *)
   incremental : bool;
       (** Incremental pass re-evaluation (default [true]).  An
           area-recovery pass skips a node when none of its candidate

@@ -123,27 +123,28 @@ let shrink t m =
   (!r, sup)
 
 (* Exhaustive canonicalization costs O(k! * 2^(k+1)) word ops; cut functions
-   repeat heavily, so memoize per domain (no locking) behind a size bound.
-   The table is flushed wholesale when full — cheap, and the working set of
-   distinct cut functions per benchmark is far below the bound. *)
+   repeat heavily, so memoize per domain (no locking), one table per
+   variable count, each behind a size bound.  A table is flushed wholesale
+   when full — cheap, and the working set of distinct cut functions per
+   benchmark is far below the bound. *)
 let canon_cache_bound = 1 lsl 16
 
-let canon_cache : (int * int64, int64) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+let canon_cache : int64 Word_tbl.t array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.init 7 (fun _ -> Word_tbl.create 256))
 
 let canonical_cached k t =
-  let tbl = Domain.DLS.get canon_cache in
-  match Hashtbl.find_opt tbl (k, t) with
+  let tbl = (Domain.DLS.get canon_cache).(k) in
+  match Word_tbl.find_opt tbl t with
   | Some c -> c
   | None ->
       let c = canonical k t in
-      if Hashtbl.length tbl >= canon_cache_bound then Hashtbl.reset tbl;
-      Hashtbl.add tbl (k, t) c;
+      if Word_tbl.length tbl >= canon_cache_bound then Word_tbl.reset tbl;
+      Word_tbl.add tbl t c;
       c
 
 let num_classes k =
   if k < 0 || k > 4 then invalid_arg "Npn.num_classes";
-  let seen = Hashtbl.create 1024 in
+  let seen = Word_tbl.create 1024 in
   let bits = 1 lsl k in
   let total = 1 lsl bits in
   (* Replicate the low [2^k] bits across the word, as Tt does. *)
@@ -157,8 +158,8 @@ let num_classes k =
   for fbits = 0 to total - 1 do
     let t = replicate fbits in
     let c = canonical k t in
-    if not (Hashtbl.mem seen c) then begin
-      Hashtbl.add seen c ();
+    if not (Word_tbl.mem seen c) then begin
+      Word_tbl.add seen c ();
       incr count
     end
   done;

@@ -11,6 +11,25 @@ let build_synth name = Synth.light (build name)
 
 let configs = [ (4, 8); (6, 8); (6, 12) ]
 
+(* The first node (if any) whose packed cut set differs from the
+   reference engine's, in count or in any cut's leaves. *)
+let first_mismatch aig ~k ~limit =
+  let ref_cuts = Cut.compute aig ~k ~limit in
+  let s = Cut.compute_packed aig ~k ~limit in
+  let differs nd =
+    let rl = ref_cuts.(nd) in
+    List.length rl <> Cut.num_cuts s nd
+    || List.exists Fun.id
+         (List.mapi (fun j c -> c.Cut.leaves <> Cut.cut_leaves s nd j) rl)
+  in
+  let rec go nd =
+    if nd >= Aig.num_nodes aig then None
+    else if (Aig.is_and aig nd || Aig.is_input aig nd || nd = 0) && differs nd
+    then Some nd
+    else go (nd + 1)
+  in
+  go 0
+
 (* (a) / tentpole: the packed engine produces the same cut sets, in the
    same order, as the reference engine. *)
 let test_sets_equal () =
@@ -19,24 +38,78 @@ let test_sets_equal () =
       let aig = build_synth name in
       List.iter
         (fun (k, limit) ->
-          let ref_cuts = Cut.compute aig ~k ~limit in
-          let s = Cut.compute_packed aig ~k ~limit in
-          for nd = 0 to Aig.num_nodes aig - 1 do
-            if Aig.is_and aig nd || Aig.is_input aig nd || nd = 0 then begin
-              let rl = ref_cuts.(nd) in
-              Alcotest.(check int)
-                (Printf.sprintf "%s k%d nd%d: count" name k nd)
-                (List.length rl) (Cut.num_cuts s nd);
-              List.iteri
-                (fun j c ->
-                  Alcotest.(check (array int))
-                    (Printf.sprintf "%s k%d nd%d cut%d: leaves" name k nd j)
-                    c.Cut.leaves (Cut.cut_leaves s nd j))
-                rl
-            end
-          done)
+          match first_mismatch aig ~k ~limit with
+          | None -> ()
+          | Some nd -> Alcotest.failf "%s k%d: node %d differs" name k nd)
         configs)
     small_suite
+
+(* A 4-input graph whose node 17 overflows the 12-entry bounded scratch
+   in a way the prefix certificate rejects: plain priority-cut truncation
+   gets its cut 10 wrong, so the packed engine must re-run that node at
+   full capacity ([!] marks a complemented fanin). *)
+let refill_fixture () =
+  let g = Aig.create () in
+  for _ = 1 to 4 do
+    ignore (Aig.add_input g)
+  done;
+  let lit i = Aig.lit_of_node (abs i) ~compl:(i < 0) in
+  List.iteri
+    (fun j (a, b) ->
+      let l = Aig.mk_and g (lit a) (lit b) in
+      Alcotest.(check int) "fixture node id" (j + 5) (Aig.node_of l))
+    [
+      (2, 3); (3, 4); (-5, 6); (6, -7); (-6, -8); (-4, 9); (9, -10); (6, 9);
+      (4, -10); (4, 13); (12, 13); (3, 15); (14, -16); (-16, -17); (6, 16);
+      (-5, 19);
+    ];
+  g
+
+let test_refill_fixture () =
+  let aig = refill_fixture () in
+  let st = Cut.stats_create () in
+  ignore (Cut.compute_packed ~stats:st aig ~k:6 ~limit:12);
+  Alcotest.(check int) "one node re-enumerated" 1 st.Cut.refills;
+  let acc = Cut.stats_create () in
+  Cut.stats_add acc st;
+  Cut.stats_add acc st;
+  Alcotest.(check int) "stats_add sums refills" 2 acc.Cut.refills;
+  Alcotest.(check (option int)) "packed = reference" None
+    (first_mismatch aig ~k:6 ~limit:12)
+
+(* Small random graphs with heavy reconvergence: 40-79 ANDs over 2-3
+   inputs, each fanin drawn uniformly from everything built before it.
+   Two in three overflow the bounded scratch at k=6/limit=12, more at
+   the smaller limits, so the certificate is exercised; a refill stays
+   rare even here (1 graph in 5,000 at k=6/limit=12), and the fixture
+   above is what pins the refill itself. *)
+let random_reconvergent seed =
+  let rng = Rand64.create (Int64.of_int seed) in
+  let g = Aig.create () in
+  let ni = 2 + Rand64.int rng 2 in
+  let nands = 40 + Rand64.int rng 40 in
+  let lits = Array.make (ni + nands) Aig.lit_false in
+  for i = 0 to ni - 1 do
+    lits.(i) <- Aig.add_input g
+  done;
+  for i = ni to ni + nands - 1 do
+    let pick () =
+      let l = lits.(Rand64.int rng i) in
+      if Rand64.bool rng then Aig.lnot l else l
+    in
+    let a = pick () in
+    lits.(i) <- Aig.mk_and g a (pick ())
+  done;
+  g
+
+let prop_random_reconvergent =
+  QCheck.Test.make ~name:"packed = reference on reconvergent graphs"
+    ~count:1000 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let aig = random_reconvergent seed in
+      List.for_all
+        (fun (k, limit) -> first_mismatch aig ~k ~limit = None)
+        [ (6, 12); (4, 8); (6, 3); (3, 2) ])
 
 (* (a) every incrementally-computed cut tt equals [Aig.tt_of_cut] on the
    same leaves. *)
@@ -208,6 +281,10 @@ let () =
             test_tts_equal;
           Alcotest.test_case "no intra-set dominance" `Quick test_no_dominance;
           Alcotest.test_case "counters" `Quick test_stats;
+          Alcotest.test_case "refill fixture" `Quick test_refill_fixture;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2009 |])
+            prop_random_reconvergent;
           Alcotest.test_case "refactor identical across engines" `Quick
             test_refactor_equal;
           Alcotest.test_case "mapper identical across engines (full suite)"

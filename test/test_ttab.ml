@@ -236,6 +236,25 @@ let test_npn_class_count_4 () =
   (* The classic result: 222 NPN classes of 4-variable functions. *)
   Alcotest.(check int) "npn classes n=4" 222 (Npn.num_classes 4)
 
+(* Truth-table words must spread over a table's buckets, which
+   [Hashtbl.Make] picks from the hash's low bits.  Two families of 65,536
+   words: the 4-input tables replicated to a word, to which the generic
+   [Hashtbl.hash] gives one value, and the 6-input tables x5·x4·h(x0..x3),
+   whose low 48 bits are all 0. *)
+let test_word_hash_spread () =
+  let distinct f =
+    List.length (List.sort_uniq compare (List.init 0x10000 f))
+  in
+  let replicated b = (Tt.words (Tt.of_bits 4 (Int64.of_int b))).(0) in
+  let high b = Int64.shift_left (Int64.of_int b) 48 in
+  Alcotest.(check bool) ">= 30,000 distinct hashes" true
+    (distinct (fun b -> Word_tbl.hash (replicated b)) >= 30_000);
+  List.iter
+    (fun (name, word) ->
+      Alcotest.(check bool) (name ^ ": >= 4,000 of 4,096 buckets") true
+        (distinct (fun b -> Word_tbl.hash (word b) land 4095) >= 4_000))
+    [ ("replicated 4-input", replicated); ("x5 x4 h(x0..x3)", high) ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -268,4 +287,6 @@ let () =
           Alcotest.test_case "class counts 2,3" `Quick test_npn_class_counts;
           Alcotest.test_case "class count 4" `Slow test_npn_class_count_4;
         ] );
+      ( "word-tbl",
+        [ Alcotest.test_case "hash spread" `Quick test_word_hash_spread ] );
     ]
