@@ -47,8 +47,8 @@ let specs =
       Arg.Set_int jobs,
       "N domains (default 1; 0 = all cores; output is identical at any N). \
        Several (benchmark, family) jobs fan across domains; a single job \
-       instead parallelizes within the circuit (synthesis analysis and \
-       mapper cover selection)" );
+       instead parallelizes within the circuit (synthesis candidate \
+       analysis and the mapper's match arena)" );
     ( "--seed",
       Arg.Set_string seed,
       "N pattern seed of verify and fault unless the step sets seed=N, and \

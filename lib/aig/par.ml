@@ -1,228 +1,40 @@
-(* A small fork-join pool for within-circuit parallelism.
+(* Fork-join parallel-for: chunk 0 runs in the caller, chunks 1..w-1
+   each in a domain spawned for this call, and [Domain.join] is both the
+   barrier and the happens-before edge that publishes the chunks' writes
+   to the caller.  A call spawns afresh (a spawn plus join costs
+   0.1–0.7 ms on a 2-vCPU x86-64 host), so no domain outlives the call
+   that needs it, nesting cannot deadlock, and idle domains never
+   compete for the CPU with the caller.  Determinism is the caller's
+   contract: bodies write only per-chunk or per-index state. *)
 
-   The pool owns [width - 1] worker domains; the caller participates as
-   worker 0, so [width] chunks run concurrently.  [run] is a chunked
-   parallel-for with a barrier: it splits [0, n) into [width] contiguous
-   chunks and hands each to one worker.  Determinism is the caller's
-   contract — bodies must write only worker-private or per-index state —
-   and every use in this codebase is of the two safe shapes:
+let width ~jobs = max 1 jobs
 
-   - independent per-index analysis (disjoint writes to slot [i]);
-   - level-synchronized sweeps, where iteration [i] reads only results
-     of strictly earlier barriers.
-
-   Under that contract the computed values are identical for every
-   [width], which is what lets [--jobs n] promise byte-identical output
-   to [--jobs 1].  Mutex/condvar hand-offs establish the needed
-   happens-before edges: chunk writes are visible to the caller after
-   [run] returns, and to every worker at the next [run]. *)
-
-type pool = {
-  width : int;
-  mutex : Mutex.t;
-  start : Condition.t;  (* caller -> workers: a new epoch is ready *)
-  finished : Condition.t;  (* workers -> caller: pending reached 0 *)
-  mutable epoch : int;
-  mutable job : (int -> int -> int -> unit) option;  (* w lo hi *)
-  mutable n : int;
-  mutable pending : int;
-  mutable failure : exn option;
-  mutable stop : bool;
-  mutable active : bool;  (* a run/run_phases is in flight (caller-side) *)
-  mutable domains : unit Domain.t array;
-}
-
-let width t = t.width
-
-let chunk n width w = (w * n / width, (w + 1) * n / width)
-
-let worker t w =
-  let seen = ref 0 in
-  let continue = ref true in
-  while !continue do
-    Mutex.lock t.mutex;
-    while (not t.stop) && t.epoch = !seen do
-      Condition.wait t.start t.mutex
-    done;
-    if t.stop then begin
-      Mutex.unlock t.mutex;
-      continue := false
-    end
-    else begin
-      seen := t.epoch;
-      let f = Option.get t.job and n = t.n in
-      Mutex.unlock t.mutex;
-      let r =
-        try
-          let lo, hi = chunk n t.width w in
-          f w lo hi;
-          None
-        with e -> Some e
-      in
-      Mutex.lock t.mutex;
-      (match r with
-      | Some e when t.failure = None -> t.failure <- Some e
-      | _ -> ());
-      t.pending <- t.pending - 1;
-      if t.pending = 0 then Condition.signal t.finished;
-      Mutex.unlock t.mutex
-    end
-  done
-
-let create ~jobs =
-  let width = max 1 jobs in
-  let t =
-    {
-      width;
-      mutex = Mutex.create ();
-      start = Condition.create ();
-      finished = Condition.create ();
-      epoch = 0;
-      job = None;
-      n = 0;
-      pending = 0;
-      failure = None;
-      stop = false;
-      active = false;
-      domains = [||];
-    }
-  in
-  t.domains <-
-    Array.init (width - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
-  t
-
-(* Below this many iterations the dispatch hand-off costs more than the
-   chunks save; run inline (worker index 0, which every scratch scheme
-   must accept for the full range). *)
+(* Below this many iterations the spawns cost more than the chunks
+   save; run inline (chunk index 0, which every scratch scheme must
+   accept for the full range). *)
 let seq_threshold = 32
 
-(* A pool body calling back into its own pool would deadlock (the caller
-   is worker 0 of the outer epoch and cannot also drive a new one), so
-   re-entry is rejected eagerly instead of hanging.  Only the calling
-   domain touches [active]: workers never enter [enter]/[leave]. *)
-let enter t ctx =
-  if t.active then
-    invalid_arg (ctx ^ ": nested use of a Par pool (pool already running)");
-  t.active <- true
-
-let leave t = t.active <- false
-
-(* One epoch hand-off: publish [f]/[n], wake the workers, run chunk 0 in
-   the calling domain, wait for the others, re-raise the first failure.
-   Shared by [run] (one chunked job) and [run_phases] (a phase loop
-   where each worker synchronizes via its own barrier). *)
-let dispatch t ~n f =
-  Mutex.lock t.mutex;
-  t.job <- Some f;
-  t.n <- n;
-  t.pending <- t.width - 1;
-  t.failure <- None;
-  t.epoch <- t.epoch + 1;
-  Condition.broadcast t.start;
-  Mutex.unlock t.mutex;
-  let mine =
-    try
-      let lo, hi = chunk n t.width 0 in
-      f 0 lo hi;
-      None
-    with e -> Some e
-  in
-  Mutex.lock t.mutex;
-  while t.pending > 0 do
-    Condition.wait t.finished t.mutex
-  done;
-  t.job <- None;
-  let theirs = t.failure in
-  t.failure <- None;
-  Mutex.unlock t.mutex;
-  (match mine with Some e -> raise e | None -> ());
-  match theirs with Some e -> raise e | None -> ()
-
-let run t ~n f =
-  if n > 0 then begin
-    enter t "Par.run";
-    Fun.protect
-      ~finally:(fun () -> leave t)
-      (fun () ->
-        if t.width = 1 || n < max seq_threshold (2 * t.width) then f 0 0 n
-        else dispatch t ~n f)
+let run ~jobs ~n f =
+  let w = width ~jobs in
+  if n <= 0 then ()
+  else if w = 1 || n < max seq_threshold (2 * w) then f 0 0 n
+  else begin
+    let chunk i () = f i (i * n / w) ((i + 1) * n / w) in
+    (* [err] keeps the first failure: a failed spawn stops spawning (the
+       domains already running are still joined before it is
+       re-raised), else the lowest-indexed raising chunk. *)
+    let err = ref None and doms = ref [] in
+    (try
+       for i = 1 to w - 1 do
+         doms := Domain.spawn (chunk i) :: !doms
+       done;
+       chunk 0 ()
+     with e -> err := Some e);
+    List.iter
+      (fun d ->
+        match Domain.join d with
+        | () -> ()
+        | exception e -> if !err = None then err := Some e)
+      (List.rev !doms);
+    Option.iter raise !err
   end
-
-(* Multi-phase sweep under a single dispatch.  [run] pays one
-   mutex/condvar hand-off per call, which a level-synchronized sweep
-   turns into O(depth) hand-offs; here the workers stay resident for the
-   whole phase list and meet at a lock-free sense-reversing barrier
-   between phases, so the hand-off cost is paid once per sweep.
-
-   Phase [p] covers indices [0, counts.(p)).  A phase marked parallel is
-   chunked across the pool exactly like [run]; a sequential phase runs
-   entirely on worker 0 (in index order) while the other workers wait at
-   the barrier — this is how callers keep merged small levels in
-   topological order.  The barrier's atomic operations establish the
-   happens-before edges: every write of phase [p] (including worker 0's
-   sequential writes) is visible to every worker in phase [p+1].
-
-   A phase body that raises must not desert the barrier (the others
-   would spin forever), so failures are parked and re-raised after the
-   last phase; the worker keeps arriving at every remaining barrier but
-   executes nothing. *)
-let run_phases t ~counts ~parallel f =
-  let np = Array.length counts in
-  if Array.length parallel <> np then
-    invalid_arg "Par.run_phases: counts/parallel length mismatch";
-  if np > 0 then begin
-    enter t "Par.run_phases";
-    Fun.protect
-      ~finally:(fun () -> leave t)
-      (fun () ->
-        if t.width = 1 then
-          for p = 0 to np - 1 do
-            if counts.(p) > 0 then f 0 p 0 counts.(p)
-          done
-        else begin
-          let arrived = Atomic.make 0 and round = Atomic.make 0 in
-          let barrier () =
-            let r = Atomic.get round in
-            if Atomic.fetch_and_add arrived 1 = t.width - 1 then begin
-              Atomic.set arrived 0;
-              Atomic.incr round
-            end
-            else
-              while Atomic.get round = r do
-                Domain.cpu_relax ()
-              done
-          in
-          let body w =
-            let err = ref None in
-            for p = 0 to np - 1 do
-              (if !err = None then
-                 try
-                   let n = counts.(p) in
-                   if n > 0 then
-                     if parallel.(p) then begin
-                       let lo, hi = chunk n t.width w in
-                       if lo < hi then f w p lo hi
-                     end
-                     else if w = 0 then f 0 p 0 n
-                 with e -> err := Some e);
-              barrier ()
-            done;
-            match !err with Some e -> raise e | None -> ()
-          in
-          dispatch t ~n:t.width (fun w _ _ -> body w)
-        end)
-  end
-
-let shutdown t =
-  if Array.length t.domains > 0 then begin
-    Mutex.lock t.mutex;
-    t.stop <- true;
-    Condition.broadcast t.start;
-    Mutex.unlock t.mutex;
-    Array.iter Domain.join t.domains;
-    t.domains <- [||]
-  end
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -1,47 +1,22 @@
-(** Fork-join domain pool for within-circuit parallelism.
+(** Fork-join parallel-for for within-circuit parallelism.
 
-    A pool of [jobs - 1] worker domains plus the calling domain.  {!run}
-    is a chunked parallel-for with a barrier.  Callers guarantee
-    determinism by writing only worker-private or per-index state (see
-    par.ml); under that contract results are identical for every pool
-    width, including width 1 (fully inline, no domains spawned). *)
+    {!run} splits an index range into contiguous chunks: the caller runs
+    the first, a freshly spawned domain runs each other one, and every
+    spawned domain is joined before {!run} returns or raises.  Callers
+    guarantee determinism by writing only per-chunk or per-index state;
+    under that contract results are identical for every [jobs], including
+    [jobs = 1] (fully inline, no domain spawned). *)
 
-type pool
+val width : jobs:int -> int
+(** Number of chunks {!run} uses at [jobs] ([max 1 jobs]): the size of a
+    per-chunk scratch array. *)
 
-val create : jobs:int -> pool
-(** [create ~jobs] spawns [max 0 (jobs - 1)] worker domains. *)
-
-val width : pool -> int
-(** Number of concurrent chunks, including the caller ([>= 1]). *)
-
-val run : pool -> n:int -> (int -> int -> int -> unit) -> unit
-(** [run pool ~n f] splits [0, n) into [width] contiguous chunks and
-    calls [f w lo hi] for each, concurrently; returns when all chunks
-    are done.  [w] is a stable worker index in [0, width) usable to
-    index per-worker scratch.  Small [n] runs inline as [f 0 0 n].
-    An exception in any chunk is re-raised after the barrier.
-
-    Pools are not reentrant: calling {!run} or {!run_phases} from inside
-    a body running on the same pool raises [Invalid_argument] instead of
-    deadlocking. *)
-
-val run_phases :
-  pool -> counts:int array -> parallel:bool array -> (int -> int -> int -> int -> unit) -> unit
-(** [run_phases pool ~counts ~parallel f] executes a multi-phase sweep
-    under a {e single} pool dispatch: phase [p] covers indices
-    [0, counts.(p)), and consecutive phases are separated by a lock-free
-    barrier instead of a fresh mutex/condvar hand-off — one hand-off per
-    sweep rather than one per phase.  [f w p lo hi] processes indices
-    [lo, hi) of phase [p] on worker [w].  A phase with [parallel.(p)] is
-    chunked across the pool like {!run}; a sequential phase runs whole on
-    worker 0 (as [f 0 p 0 counts.(p)]) while the other workers wait at
-    the barrier.  Writes of phase [p] are visible to every worker in
-    phase [p + 1].  The first exception is re-raised after the sweep
-    (the raising worker keeps the remaining barriers balanced).
-    [counts] and [parallel] must have equal length. *)
-
-val shutdown : pool -> unit
-(** Joins the worker domains.  The pool must not be used afterwards. *)
-
-val with_pool : jobs:int -> (pool -> 'a) -> 'a
-(** [create]/[shutdown] bracket. *)
+val run : jobs:int -> n:int -> (int -> int -> int -> unit) -> unit
+(** [run ~jobs ~n f] splits [0, n) into [width ~jobs] contiguous chunks
+    and calls [f w lo hi] for each, concurrently; [w] is the chunk index
+    in [0, width ~jobs), usable to index per-chunk scratch.  Small [n]
+    runs inline as [f 0 0 n]; [n <= 0] does nothing.  Chunk writes are
+    visible to the caller when [run] returns.  If a domain spawn or a
+    chunk raises, that exception (a failed spawn first, else the
+    lowest-indexed raising chunk's) is re-raised once every spawned
+    domain has been joined. *)

@@ -45,9 +45,10 @@ type config = {
       (** wall-clock budget per pass; overruns add a [flow-pass-budget]
           Warning (the pass still completes — there is no preemption) *)
   jobs : int;
-      (** within-circuit domains for the cut-based synthesis passes and
-          the mapper's cover selection (default 1).  Output is
-          byte-identical for every value; see {!Par}.  Distinct from
+      (** within-circuit domains for the per-node analyses of the
+          cut-based synthesis passes and of the mapper's match-arena
+          construction (default 1).  Output is byte-identical for every
+          value; see {!Par}.  Distinct from
           {!Runner.map_jobs}'s across-circuit fan-out — a driver should
           use one or the other, not both. *)
 }

@@ -245,12 +245,12 @@ let deaths_in_cone aig refs nd cut =
   go nd;
   !count
 
-(* Per-worker scratch of the refactor sweep's packed-engine helpers:
+(* Per-chunk scratch of the refactor sweep's packed-engine helpers:
    timestamped marks (a stamp bump invalidates all marks at once, so no
    per-call table is ever built or cleared) plus the greedy-cut leaf
-   arrays.  One instance per pool worker — every helper's result is a
-   pure function of the source graph, so which worker analyzes which
-   node cannot change any value. *)
+   arrays.  One instance per {!Par.run} chunk index — every helper's
+   result is a pure function of the source graph, so which chunk
+   analyzes which node cannot change any value. *)
 type ts_scratch = {
   ts_mark : int array;
   ts_dec : int array;
@@ -488,9 +488,10 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
      Phase A (parallel): per-node candidate analysis — cut enumeration,
      cone functions, ISOP factoring, MFFC/death counts.  All of it reads
      only the immutable source graph and [refs], so nodes are
-     independent: a Domain pool chews a window with disjoint writes into
-     the [analysis] slots, and the values are identical whatever the
-     pool width (the DLS form cache only memoizes a pure function).
+     independent: {!Par.run} chunks a window across domains with
+     disjoint writes into the [analysis] slots, and the values are
+     identical whatever [jobs] is (the DLS form cache only memoizes a
+     pure function).
 
      Phase B (sequential): the dry-run strash-aware costing and the
      commit into [fresh] — inherently ordered, because cost and
@@ -585,31 +586,30 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
   in
   let window = 1 lsl 15 in
   let analysis = Array.make (min window (max 1 (n - 1))) (0, []) in
-  Par.with_pool ~jobs (fun pool ->
-      let scratches = Array.make (Par.width pool) None in
-      let scratch w =
-        match scratches.(w) with
-        | Some sc -> sc
-        | None ->
-            let sc = mk_scratch () in
-            scratches.(w) <- Some sc;
-            sc
-      in
-      let w0 = ref 1 in
-      while !w0 < n do
-        let w1 = min n (!w0 + window) in
-        let base = !w0 in
-        Par.run pool ~n:(w1 - base) (fun w lo hi ->
-            let sc = scratch w in
-            for i = lo to hi - 1 do
-              analysis.(i) <- analyze sc (base + i)
-            done);
-        for i = 0 to w1 - base - 1 do
-          let nd = base + i in
-          if Aig.is_and aig nd then commit nd analysis.(i)
-        done;
-        w0 := w1
-      done);
+  let scratches = Array.make (Par.width ~jobs) None in
+  let scratch w =
+    match scratches.(w) with
+    | Some sc -> sc
+    | None ->
+        let sc = mk_scratch () in
+        scratches.(w) <- Some sc;
+        sc
+  in
+  let w0 = ref 1 in
+  while !w0 < n do
+    let w1 = min n (!w0 + window) in
+    let base = !w0 in
+    Par.run ~jobs ~n:(w1 - base) (fun w lo hi ->
+        let sc = scratch w in
+        for i = lo to hi - 1 do
+          analysis.(i) <- analyze sc (base + i)
+        done);
+    for i = 0 to w1 - base - 1 do
+      let nd = base + i in
+      if Aig.is_and aig nd then commit nd analysis.(i)
+    done;
+    w0 := w1
+  done;
   Array.iter
     (fun (name, l) -> Aig.add_output fresh name (lit_map_get map l))
     (Aig.outputs aig);

@@ -25,7 +25,7 @@ val balance : Aig.t -> Aig.t
 
     [jobs] (default 1) runs each pass's per-node candidate analysis — cut
     enumeration, cone functions, ISOP factoring, MFFC accounting — across
-    a {!Par} pool of that many domains, window by window; the commit into
+    that many domains ({!Par.run}), window by window; the commit into
     the rebuilt graph stays sequential.  Because the analysis is a pure
     function of the immutable source graph, the output is byte-identical
     for every [jobs] value. *)

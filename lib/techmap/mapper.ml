@@ -174,88 +174,6 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
     done
   in
   init_leaf_slots ();
-  (* ---- within-circuit parallelism ----
-     One pool serves cut-info precomputation (independent per node) and
-     the level-synchronized matching passes.  Worker-visible writes are
-     limited to disjoint per-node slots plus per-worker scratch, so the
-     chosen cover is byte-identical for every pool width.  On the
-     exception paths the pool leaks its parked workers; that is benign
-     (the runtime exits with parked domains) and keeps the passes
-     uncluttered. *)
-  let pool = Par.create ~jobs:(max 1 params.jobs) in
-  let pw = Par.width pool in
-  let probe_ctr = Array.make pw 0 in
-  let reeval_ctr = Array.make pw 0 in
-  let skip_ctr = Array.make pw 0 in
-  (* Per-worker float/int scratch, so the hot loops allocate nothing:
-     fa.(0,1) best (arrival, flow); fa.(2,3) candidate (arrival, flow);
-     fa.(4..7) the node's slot values before re-evaluation (change
-     detection); fi.(0,1) best (ch1, ch2). *)
-  let wa = Array.init pw (fun _ -> Array.make 8 0.0) in
-  let wi = Array.init pw (fun _ -> Array.make 2 0) in
-  (* Nodes bucketed by logic level: every leaf of a cut of [nd] lies in
-     [nd]'s strict fan-in, hence strictly below [nd]'s level, so the
-     nodes of one level match independently once lower levels are
-     final — the matching passes sweep level by level, computing exactly
-     the sequential pass's values. *)
-  let level = Array.make n 0 in
-  let nlevels = ref 1 in
-  Aig.iter_ands aig (fun nd ->
-      let l0 = level.(Aig.node_of (Aig.fanin0 aig nd))
-      and l1 = level.(Aig.node_of (Aig.fanin1 aig nd)) in
-      let l = 1 + if l0 > l1 then l0 else l1 in
-      level.(nd) <- l;
-      if l >= !nlevels then nlevels := l + 1);
-  let lcount = Array.make !nlevels 0 in
-  Aig.iter_ands aig (fun nd -> lcount.(level.(nd)) <- lcount.(level.(nd)) + 1);
-  let levels = Array.map (fun c -> Array.make c 0) lcount in
-  let lfill = Array.make !nlevels 0 in
-  Aig.iter_ands aig (fun nd ->
-      let l = level.(nd) in
-      levels.(l).(lfill.(l)) <- nd;
-      lfill.(l) <- lfill.(l) + 1);
-  (* ---- wavefront schedule ----
-     The seed dispatched one pool hand-off per level — O(depth)
-     mutex/condvar round-trips per matching pass.  Here each pass is a
-     single {!Par.run_phases} dispatch over a precomputed schedule: a
-     level with at least [par_grain] nodes is a chunked parallel phase
-     (the same threshold below which {!Par.run} would have run it inline
-     anyway), and every maximal run of consecutive smaller levels is
-     merged into one sequential phase executed in topological order by
-     worker 0.  Barriers separate phases, so deep circuits with thin
-     levels cross O(depth / merged-run length) barriers instead of
-     O(depth) hand-offs, and the barriers themselves are lock-free. *)
-  let par_grain = max 32 (2 * pw) in
-  let ph_nodes, ph_par =
-    let phases = ref [] and pending = ref [] in
-    let flush () =
-      if !pending <> [] then begin
-        phases := (Array.concat (List.rev !pending), false) :: !phases;
-        pending := []
-      end
-    in
-    Array.iter
-      (fun lvl ->
-        let c = Array.length lvl in
-        if c = 0 then ()
-        else if c >= par_grain then begin
-          flush ();
-          phases := (lvl, true) :: !phases
-        end
-        else pending := lvl :: !pending)
-      levels;
-    flush ();
-    let a = Array.of_list (List.rev !phases) in
-    (Array.map fst a, Array.map snd a)
-  in
-  let ph_counts = Array.map Array.length ph_nodes in
-  let sweep f =
-    Par.run_phases pool ~counts:ph_counts ~parallel:ph_par (fun w p lo hi ->
-        let nodes = ph_nodes.(p) in
-        for i = lo to hi - 1 do
-          f w nodes.(i)
-        done)
-  in
   (* ---- candidate match arena ----
      Per AND node, the usable (cut, key) candidates: cut function shrunk
      to its support, plus the library match lists for both output
@@ -328,8 +246,11 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   let c_cnt = Array.make n 0 in
   let l_cnt = Array.make n 0 in
   let d_cnt = Array.make n 0 in
-  let uscratch = Array.init pw (fun _ -> Array.make ((6 * climit) + 8) 0) in
-  Par.run pool ~n (fun w lo hi ->
+  let jobs = params.jobs in
+  let uscratch =
+    Array.init (Par.width ~jobs) (fun _ -> Array.make ((6 * climit) + 8) 0)
+  in
+  Par.run ~jobs ~n (fun w lo hi ->
       let us = uscratch.(w) in
       for nd = lo to hi - 1 do
         if Aig.is_and aig nd then begin
@@ -372,7 +293,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   let cand_olen = Array.make (max 1 ncand) 0 in
   let leaf_buf = Array.make (max 1 l_off.(n)) 0 in
   let dleaf_buf = Array.make (max 1 dleaf_off.(n)) 0 in
-  Par.run pool ~n (fun w lo hi ->
+  Par.run ~jobs ~n (fun w lo hi ->
       let us = uscratch.(w) in
       for nd = lo to hi - 1 do
         if Aig.is_and aig nd then begin
@@ -495,10 +416,15 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
     else
       Bytes.get changed dleaf_buf.(i) <> '\000' || leaves_changed (i + 1) hi
   in
+  (* Hot-loop scratch, so matching allocates nothing: fa.(0,1) best
+     (arrival, flow); fa.(2,3) candidate (arrival, flow); fa.(4..7) the
+     node's slot values before re-evaluation (change detection);
+     fi.(0,1) best (ch1, ch2). *)
+  let fa = Array.make 8 0.0 and fi = Array.make 2 0 in
   (* Candidate-vs-best comparison; epsilons as in the seed.  `Delay:
      lexicographic (arrival, flow); `Area: minimize flow subject to
      arrival <= req. *)
-  let consider fa fi area req c1 c2 arr fl =
+  let consider area req c1 c2 arr fl =
     let better =
       if not area then
         arr < fa.(0) -. 1e-9 || (arr < fa.(0) +. 1e-9 && fl < fa.(1) -. 1e-9)
@@ -520,7 +446,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   (* One matching evaluation of a node: both phases plus inverter
      bridging.  [reqm] is [None] for a delay-objective sweep or
      [Some (required-times, t)] for area recovery. *)
-  let process w reqm nd =
+  let process reqm nd =
     let base = nd * nph in
     let must =
       force_full
@@ -531,10 +457,9 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
           req_changed ra t base 0
           || leaves_changed dleaf_off.(nd) dleaf_off.(nd + 1)
     in
-    if not must then skip_ctr.(w) <- skip_ctr.(w) + 1
+    if not must then stats.Cut.reeval_skips <- stats.Cut.reeval_skips + 1
     else begin
-      reeval_ctr.(w) <- reeval_ctr.(w) + 1;
-      let fa = wa.(w) and fi = wi.(w) in
+      stats.Cut.reevals <- stats.Cut.reevals + 1;
       fa.(4) <- arrival.(base);
       fa.(5) <- flow.(base);
       if nph = 2 then begin
@@ -566,14 +491,14 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
               let leaf = leaf_buf.(cand_slo.(c)) in
               let lph = if neg_leaf then 1 else 0 in
               let sx = (leaf * nph) + (lph land phm) in
-              consider fa fi area rq code_wire
+              consider area rq code_wire
                 ((leaf lsl 1) lor lph)
                 arrival.(sx)
                 (flow.(sx) /. refs_f.(leaf))
             end
           end
           else if s >= 2 then begin
-            probe_ctr.(w) <- probe_ctr.(w) + 1;
+            stats.Cut.probes <- stats.Cut.probes + 1;
             let g = cand_gid.(c) in
             let off = if ph = 0 then gpos_off.(g) else gneg_off.(g) in
             let len = if ph = 0 then gpos_len.(g) else gneg_len.(g) in
@@ -596,7 +521,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
                   cell_delay_loaded ent.(ei).Cell_lib.cell (node_load nd ph)
                 else ent_delay.(ei)
               in
-              consider fa fi area rq c ei (fa.(2) +. d) fa.(3)
+              consider area rq c ei (fa.(2) +. d) fa.(3)
             done
           end
         done;
@@ -628,14 +553,16 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
       then Bytes.set changed nd '\001'
     end
   in
+  (* A sweep visits the AND nodes in id order, which is topological:
+     every cut leaf has a smaller id than its root, so its slots are
+     final before any candidate reads them. *)
   let delay_sweep () =
     Bytes.fill changed 0 n '\000';
-    sweep (fun w nd -> process w None nd)
+    Aig.iter_ands aig (process None)
   in
   let area_sweep reqm =
     Bytes.fill changed 0 n '\000';
-    let rm = Some reqm in
-    sweep (fun w nd -> process w rm nd)
+    Aig.iter_ands aig (process (Some reqm))
   in
   (* phase timing (wall clock; [Sys.time] is CPU time and lies at
      jobs > 1) *)
@@ -906,14 +833,6 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
       end
     done
   end;
-  (* Totals are sums of per-node counts, so merging the workers'
-     counters reproduces the sequential tally exactly; the skip decision
-     itself is deterministic, so all three are [jobs]-independent. *)
-  stats.Cut.probes <- stats.Cut.probes + Array.fold_left ( + ) 0 probe_ctr;
-  stats.Cut.reevals <- stats.Cut.reevals + Array.fold_left ( + ) 0 reeval_ctr;
-  stats.Cut.reeval_skips <-
-    stats.Cut.reeval_skips + Array.fold_left ( + ) 0 skip_ctr;
-  Par.shutdown pool;
   (* ---- extraction ---- *)
   let t_x0 = now () in
   let insts = ref [] in

@@ -36,16 +36,14 @@ type params = {
           pins.  [None] (the default) is exact area flow; reported netlist
           area is always real cell area either way. *)
   jobs : int;
-      (** Domains for within-circuit parallel cover selection (default 1).
-          Cut-info precomputation fans out over nodes, and every matching
-          pass runs as a level-ordered wavefront across a {!Par} pool: a
-          cut's support lies strictly below its root's level, so the
-          nodes of one level match independently from finished lower
-          levels.  Large levels are chunked across the pool and runs of
-          small levels execute sequentially between lock-free barriers,
-          all under a single pool dispatch per pass
-          ({!Par.run_phases}).  The chosen cover — and hence the
-          netlist — is byte-identical for every [jobs] value. *)
+      (** Domains for the per-node analyses (default 1).  Only the
+          match-arena construction fans out ({!Par.run}): each node's
+          candidate cuts, support-shrunk functions and leaf sets are
+          counted and then written into disjoint per-node ranges.  The
+          matching and area-recovery sweeps are dynamic programs in
+          topological order and run sequentially in node-id order.  The
+          chosen cover — and hence the netlist — is byte-identical for
+          every [jobs] value. *)
   incremental : bool;
       (** Incremental pass re-evaluation (default [true]).  An
           area-recovery pass skips a node when none of its candidate

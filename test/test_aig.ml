@@ -220,73 +220,74 @@ let test_cut_limit () =
       if List.length cuts.(n) > limit then Alcotest.fail "limit exceeded");
   Alcotest.(check pass) "cut limit respected" () ()
 
-(* ---- Par pool ---- *)
+(* ---- Par fork-join ---- *)
 
 let test_par_more_workers_than_items () =
-  (* a pool wider than the work item count: every index is still visited
-     exactly once, and n = 0 is a no-op *)
-  Par.with_pool ~jobs:8 (fun p ->
-      let hits = Array.make 3 0 in
-      Par.run p ~n:3 (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Array.iteri
-        (fun i h ->
-          Alcotest.(check int) (Printf.sprintf "index %d visited once" i) 1 h)
-        hits;
-      Par.run p ~n:0 (fun _ _ _ -> Alcotest.fail "body ran for n=0");
-      Alcotest.(check pass) "n=0 no-op" () ())
+  (* more domains than work items: every index is still visited exactly
+     once, and n = 0 is a no-op *)
+  let hits = Array.make 3 0 in
+  Par.run ~jobs:8 ~n:3 (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        hits.(i) <- hits.(i) + 1
+      done);
+  Array.iteri
+    (fun i h ->
+      Alcotest.(check int) (Printf.sprintf "index %d visited once" i) 1 h)
+    hits;
+  Par.run ~jobs:8 ~n:0 (fun _ _ _ -> Alcotest.fail "body ran for n=0");
+  Alcotest.(check pass) "n=0 no-op" () ()
 
-let test_par_nested_rejected () =
-  Par.with_pool ~jobs:2 (fun p ->
-      let rejected = ref false in
-      Par.run p ~n:1 (fun _ _ _ ->
-          try Par.run p ~n:1 (fun _ _ _ -> ())
-          with Invalid_argument _ -> rejected := true);
-      Alcotest.(check bool) "nested run rejected" true !rejected;
-      (* the rejection must not poison the pool for later dispatches *)
-      let a = Array.make 64 0 in
-      Par.run p ~n:64 (fun _ lo hi ->
-          for i = lo to hi - 1 do
-            a.(i) <- 1
-          done);
-      Alcotest.(check int) "pool usable after rejection" 64
-        (Array.fold_left ( + ) 0 a))
+let test_par_raising_chunk () =
+  (* chunk 2 of 4 raises at once while the others pause, then write their
+     ranges: the exception reaches the caller only after every other
+     chunk's writes are visible, and no call leaves a domain behind (the
+     runtime caps live domains, so 200 leaking calls would exhaust it) *)
+  let jobs = 4 and n = 400 in
+  for _ = 1 to 200 do
+    let a = Array.make n (-1) in
+    (match
+       Par.run ~jobs ~n (fun w lo hi ->
+           if w = 2 then raise Exit;
+           Unix.sleepf 0.001;
+           for i = lo to hi - 1 do
+             a.(i) <- w
+           done)
+     with
+    | () -> Alcotest.fail "the raising chunk's exception was lost"
+    | exception Exit -> ());
+    Array.iteri
+      (fun i v ->
+        let w = i * jobs / n in
+        let want = if w = 2 then -1 else w in
+        if v <> want then
+          Alcotest.failf "a.(%d) = %d after the raise, want %d" i v want)
+      a
+  done;
+  let sum = Atomic.make 0 in
+  Par.run ~jobs ~n (fun _ lo hi -> ignore (Atomic.fetch_and_add sum (hi - lo)));
+  Alcotest.(check int) "Par.run works after 200 raising calls" n
+    (Atomic.get sum)
 
-let test_par_run_phases () =
-  Par.with_pool ~jobs:3 (fun p ->
-      (* each phase reads the previous phase's writes: 0 -> 1 -> 3 -> 7
-         only if every barrier publishes in order *)
-      let n = 257 in
-      let acc = Array.make n 0 in
-      let parallel = [| true; false; true |] in
-      Par.run_phases p ~counts:[| n; n; n |] ~parallel (fun w ph lo hi ->
-          if (not parallel.(ph)) && w <> 0 then
-            Alcotest.fail "sequential phase ran off worker 0";
-          for i = lo to hi - 1 do
-            acc.(i) <- (2 * acc.(i)) + 1
-          done);
-      Array.iteri
-        (fun i v ->
-          if v <> 7 then
-            Alcotest.failf "acc(%d) = %d, want 7 (phase ordering broken)" i v)
-        acc;
-      (* ragged phase sizes, including an empty phase *)
-      let m = Array.make 100 0 in
-      Par.run_phases p ~counts:[| 100; 0; 40 |]
-        ~parallel:[| true; false; true |] (fun _ ph lo hi ->
-          for i = lo to hi - 1 do
-            m.(i) <- m.(i) + ph + 1
-          done);
-      Alcotest.(check int) "ragged counts" (100 + (3 * 40))
-        (Array.fold_left ( + ) 0 m);
-      (match
-         Par.run_phases p ~counts:[| 1 |] ~parallel:[||] (fun _ _ _ _ -> ())
-       with
-      | () -> Alcotest.fail "counts/parallel length mismatch accepted"
-      | exception Invalid_argument _ -> ());
-      Alcotest.(check pass) "length mismatch rejected" () ())
+let test_par_failed_spawn () =
+  (* more chunks than the runtime has domain slots (128 by default): the
+     spawn that fails is re-raised only after the chunks already spawned
+     have finished, so no chunk writes once [run] has raised *)
+  let jobs = 1000 in
+  let n = 4 * jobs in
+  let a = Array.make n 0 in
+  (match
+     Par.run ~jobs ~n (fun _ lo hi ->
+         Unix.sleepf 0.05;
+         Array.fill a lo (hi - lo) 1)
+   with
+  | () -> ()
+  | exception Failure _ -> ());
+  let seen = Array.copy a in
+  Unix.sleepf 0.2;
+  if a <> seen then Alcotest.fail "a chunk wrote after Par.run raised";
+  let sum = Atomic.make 0 in
+  Par.run ~jobs:4 ~n (fun _ lo hi -> ignore (Atomic.fetch_and_add sum (hi - lo)));
+  Alcotest.(check int) "Par.run works after a failed spawn" n (Atomic.get sum)
 
 let () =
   Alcotest.run "aig"
@@ -317,8 +318,7 @@ let () =
         [
           Alcotest.test_case "more workers than items" `Quick
             test_par_more_workers_than_items;
-          Alcotest.test_case "nested use rejected" `Quick
-            test_par_nested_rejected;
-          Alcotest.test_case "run_phases" `Quick test_par_run_phases;
+          Alcotest.test_case "raising chunk" `Quick test_par_raising_chunk;
+          Alcotest.test_case "failed spawn" `Quick test_par_failed_spawn;
         ] );
     ]

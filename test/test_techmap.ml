@@ -188,9 +188,9 @@ let test_area_recovery_never_hurts_delay () =
     (s3.Mapped.norm_delay <= s0.Mapped.norm_delay +. 1e-6)
 
 let test_mapper_jobs_byte_identical () =
-  (* The level-synchronized matching sweeps must pick the same cover at
-     every domain count (every cut leaf sits strictly below its root's
-     level, so per-level matches are order-independent). *)
+  (* The mapper must pick the same cover at every domain count (the
+     match arena is built across domains into disjoint per-node ranges;
+     the matching sweeps run in node order). *)
   let circuits =
     [
       ("addsub-12", Arith.addsub 12);
@@ -244,6 +244,31 @@ let test_mapper_tiny_circuits_any_jobs () =
         Alcotest.failf "%s: jobs=4 diverges from jobs=1" name)
     [ ("wire", wire); ("one-and", one) ];
   Alcotest.(check pass) "tiny circuits map" () ()
+
+let test_failing_map_leaves_no_domain () =
+  (* A library holding only the CMOS inverter matches no AND node, so
+     every map raises.  A raising map must join its domains: the runtime
+     caps live domains, and leaked ones made every later jobs > 1 map in
+     the process fail to allocate its own. *)
+  let inv = Option.get (Cell_lib.inverter lib_cmos) in
+  let inv_only =
+    Cell_lib.of_cells ~name:"inv-only" ~free_phases:false
+      ~tau_ps:(Cell_lib.tau_ps lib_cmos) [ inv ]
+  in
+  let aig = (Bench_suite.find "add-16").Bench_suite.build () in
+  let params jobs = { Mapper.default_params with Mapper.jobs } in
+  for i = 1 to 60 do
+    match Mapper.map ~params:(params 4) inv_only aig with
+    | _ -> Alcotest.failf "map %d: the inverter-only library matched" i
+    | exception Failure msg when String.ends_with ~suffix:"no match" msg ->
+        ()
+  done;
+  let image jobs =
+    Marshal.to_string (Mapper.map ~params:(params jobs) lib_static aig)
+      [ Marshal.No_sharing ]
+  in
+  Alcotest.(check bool) "jobs=4 map after 60 failures = jobs=1 map" true
+    (image 4 = image 1)
 
 let test_incremental_matches_full_matrix () =
   (* the dirty-propagation criterion is exact, so incremental re-evaluation
@@ -307,6 +332,8 @@ let () =
             test_mapper_jobs_byte_identical;
           Alcotest.test_case "tiny circuits any jobs" `Quick
             test_mapper_tiny_circuits_any_jobs;
+          Alcotest.test_case "failing map leaves no domain" `Quick
+            test_failing_map_leaves_no_domain;
           Alcotest.test_case "incremental = full matrix" `Slow
             test_incremental_matches_full_matrix;
         ] );
