@@ -411,7 +411,8 @@ let timing_tests () =
          (let rng = Rand64.create 5L in
           fun () -> ignore (Npn.canonical 4 (Rand64.next rng))));
     Test.make ~name:"engine/cut-enum-add16"
-      (Staged.stage (fun () -> ignore (Cut.compute adder16 ~k:6 ~limit:12)));
+      (Staged.stage (fun () ->
+           ignore (Cut.compute_packed adder16 ~k:6 ~limit:12)));
     Test.make ~name:"engine/cec-adder8"
       (Staged.stage (fun () ->
            let a = Arith.adder 8 and b = Synth.resyn2rs (Arith.adder 8) in

@@ -166,6 +166,13 @@ let () =
   Arg.parse (Arg.align specs)
     (fun a -> Cli_common.usage_die ~prog ("unexpected argument " ^ a))
     usage;
+  if !rounds < 0 then
+    Cli_common.usage_die ~prog
+      (Printf.sprintf "--rounds expects at least 0, got %d" !rounds);
+  if !conflict_budget < 1 then
+    Cli_common.usage_die ~prog
+      (Printf.sprintf "--conflict-budget expects at least 1, got %d"
+         !conflict_budget);
   let script = map_script () in
   let seed =
     try Int64.of_string !seed

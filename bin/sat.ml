@@ -31,9 +31,8 @@ let dimacs_of_lit l =
   if Solver.lit_sign l then v else -v
 
 let run fm assumptions =
-  let module C = Cnf.Make (Solver) in
   let s = Solver.create () in
-  C.add_formula s fm;
+  Cnf.add_formula s fm;
   let conflict_budget = if !budget > 0 then !budget else max_int in
   let r = Solver.solve ~assumptions ~conflict_budget s in
   Printf.printf "c vars=%d clauses=%d\n" fm.Cnf.fm_vars

@@ -1,19 +1,15 @@
-(* K-feasible priority cuts (Pan–Mishchenko style), in two engines:
+(* K-feasible priority cuts (Pan–Mishchenko style).  Cut sets live in
+   preallocated flat slabs (leaves + signature + truth-table word per cut
+   slot, no per-cut records or lists), candidate filtering runs over a
+   bounded insertion-sorted scratch array with signature pre-rejection,
+   and each cut's truth table is computed bottom-up during the merge from
+   the fanins' cut tables — so consumers never re-walk the cone
+   ([Aig.tt_of_cut]) per cut.
 
-   - the legacy list-of-records engine ([compute]), kept as the reference
-     for differential testing and for callers that want plain cut lists;
-   - the packed engine ([compute_packed]): cut sets live in preallocated
-     flat slabs (leaves + signature + truth-table word per cut slot, no
-     per-cut records or lists), candidate filtering runs over a bounded
-     insertion-sorted scratch array with signature pre-rejection, and each
-     cut's truth table is computed bottom-up during the merge from the
-     fanins' cut tables — so consumers never re-walk the cone
-     ([Aig.tt_of_cut]) per cut.
-
-   Both engines produce identical cut sets: the final dominance-filtered
-   set of a node is independent of candidate insertion order, and both
-   commit the same (size, lexicographic leaves) sorted prefix plus the
-   trivial cut last. *)
+   A node's committed set is the (size, lexicographic leaves) sorted
+   prefix of its dominance-filtered candidates plus the trivial cut last;
+   the filtered set is independent of candidate insertion order, which
+   is what the bounded scratch relies on. *)
 
 (* Signature: a 62-bucket bloom filter over leaf ids, used to pre-reject
    subset tests.  Soundness condition: each leaf contributes exactly one
@@ -40,113 +36,7 @@ let popcount x =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   (x * 0x0101010101010101) lsr 56
 
-(* ---------------- reference engine ---------------- *)
-
-type t = { leaves : int array; sign : int }
-
-let trivial n = { leaves = [| n |]; sign = sign_of_node n }
-let size c = Array.length c.leaves
-
-let dominates a b =
-  a.sign land b.sign = a.sign
-  && Array.length a.leaves <= Array.length b.leaves
-  &&
-  (* both sorted: subset test by merge *)
-  let la = a.leaves and lb = b.leaves in
-  let na = Array.length la and nb = Array.length lb in
-  let rec go i j =
-    if i >= na then true
-    else if j >= nb then false
-    else if la.(i) = lb.(j) then go (i + 1) (j + 1)
-    else if la.(i) > lb.(j) then go i (j + 1)
-    else false
-  in
-  go 0 0
-
-(* Merge two sorted leaf arrays; None if the union exceeds k. *)
-let merge k a b =
-  let na = Array.length a and nb = Array.length b in
-  let buf = Array.make k 0 in
-  let rec go i j m =
-    if i >= na && j >= nb then Some m
-    else if m >= k then None
-    else if i >= na then begin
-      buf.(m) <- b.(j);
-      go i (j + 1) (m + 1)
-    end
-    else if j >= nb then begin
-      buf.(m) <- a.(i);
-      go (i + 1) j (m + 1)
-    end
-    else if a.(i) = b.(j) then begin
-      buf.(m) <- a.(i);
-      go (i + 1) (j + 1) (m + 1)
-    end
-    else if a.(i) < b.(j) then begin
-      buf.(m) <- a.(i);
-      go (i + 1) j (m + 1)
-    end
-    else begin
-      buf.(m) <- b.(j);
-      go i (j + 1) (m + 1)
-    end
-  in
-  match go 0 0 0 with
-  | None -> None
-  | Some m ->
-      let leaves = Array.sub buf 0 m in
-      Some { leaves; sign = signature leaves }
-
-let compute aig ~k ~limit =
-  if k < 2 || k > 16 then invalid_arg "Cut.compute";
-  let n = Aig.num_nodes aig in
-  let cuts = Array.make n [] in
-  cuts.(0) <- [ trivial 0 ];
-  for i = 1 to Aig.num_inputs aig do
-    cuts.(i) <- [ trivial i ]
-  done;
-  Aig.iter_ands aig (fun nd ->
-      let c0 = cuts.(Aig.node_of (Aig.fanin0 aig nd)) in
-      let c1 = cuts.(Aig.node_of (Aig.fanin1 aig nd)) in
-      let acc = ref [] in
-      let insert c =
-        (* Drop if dominated by an existing cut; remove cuts it dominates. *)
-        if not (List.exists (fun d -> dominates d c) !acc) then
-          acc := c :: List.filter (fun d -> not (dominates c d)) !acc
-      in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun b ->
-              match merge k a.leaves b.leaves with
-              | Some c -> insert c
-              | None -> ())
-            c1)
-        c0;
-      let sorted =
-        List.sort
-          (fun a b ->
-            let c = compare (size a) (size b) in
-            if c <> 0 then c else compare a.leaves b.leaves)
-          !acc
-      in
-      let take n l =
-        (* first [n] elements, tail-recursively (wide nodes produce long
-           candidate lists) *)
-        let rec go acc n = function
-          | [] -> List.rev acc
-          | _ when n = 0 -> List.rev acc
-          | x :: xs -> go (x :: acc) (n - 1) xs
-        in
-        go [] n l
-      in
-      cuts.(nd) <- take (limit - 1) sorted @ [ trivial nd ])
-  ;
-  cuts
-
-(* ---------------- engines and counters ---------------- *)
-
-type engine = Packed | Reference
+(* ---------------- counters ---------------- *)
 
 type stats = {
   mutable built : int;
@@ -181,7 +71,7 @@ let stats_add acc s =
   acc.reevals <- acc.reevals + s.reevals;
   acc.reeval_skips <- acc.reeval_skips + s.reeval_skips
 
-(* ---------------- packed engine ---------------- *)
+(* ---------------- packed cut sets ---------------- *)
 
 type set = {
   k : int;
@@ -285,7 +175,7 @@ let compute_packed ?stats aig ~k ~limit =
      proves it exact; otherwise the node is enumerated again at capacity
      [limit²], which holds every survivor of the full cross-product —
      nothing is dropped there, and truncating to [limit - 1] at commit
-     time is exactly the reference engine's collect/sort/take. *)
+     time is exactly collect, sort and take over the whole set. *)
   let full_cap = limit * limit in
   let s_len = Array.make full_cap 0 in
   let s_sign = Array.make full_cap 0 in

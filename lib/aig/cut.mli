@@ -5,41 +5,20 @@
     expressed over the cut leaves.  Only a bounded number of cuts per node
     is kept, which is the standard compromise used by technology mappers.
 
-    Two engines produce identical cut sets: the packed engine
-    ({!compute_packed}) stores cuts in flat preallocated slabs and computes
-    each cut's truth table incrementally during enumeration; the reference
-    engine ({!compute}) is the legacy list-of-records implementation, kept
-    for differential testing. *)
-
-type t = private {
-  leaves : int array;  (** sorted ascending *)
-  sign : int;          (** subset-test bloom filter *)
-}
-
-val trivial : int -> t
-val size : t -> int
-val dominates : t -> t -> bool
-(** [dominates a b]: [a]'s leaves are a subset of [b]'s. *)
+    Cut sets are stored in flat preallocated slabs, and each cut's truth
+    table is computed incrementally during enumeration
+    ({!compute_packed}). *)
 
 val signature : int array -> int
 (** Bloom-filter signature of a (sorted) leaf array.  Sound for subset
     pre-rejection: [leaves a ⊆ leaves b] implies
     [signature a land signature b = signature a]. *)
 
-val compute : Aig.t -> k:int -> limit:int -> t list array
-(** [compute aig ~k ~limit] returns, for every node, up to [limit]
-    [k]-feasible cuts (the trivial cut included, always last).  Smaller and
-    dominating cuts are preferred. *)
-
-(** {1 Engine selection and counters} *)
-
-type engine =
-  | Packed     (** flat slabs + incremental truth tables (the default) *)
-  | Reference  (** legacy lists + per-cut cone walks, for differential runs *)
+(** {1 Counters} *)
 
 (** Hot-path counters, accumulated by whichever subsystem owns the record
-    (one per pass in the flow).  The first four count work in the packed
-    engine's bounded candidate scratch, re-runs included: [built] counts
+    (one per pass in the flow).  The first four count work in the
+    enumeration's bounded candidate scratch, re-runs included: [built] counts
     candidate cuts accepted into a node's scratch (including later-evicted
     or dropped ones), [dominated] counts candidates dropped — or evicted —
     by the dominance filter, [sign_rejects] counts subset walks skipped by
@@ -75,9 +54,11 @@ type set
     those leaves as a single replicated word ([k <= 6]). *)
 
 val compute_packed : ?stats:stats -> Aig.t -> k:int -> limit:int -> set
-(** Same cut sets as {!compute} (cut [j] of [compute_packed] equals the
-    [j]-th list element from [compute]), with each cut's function computed
-    bottom-up during the merge.  [2 <= k <= 6].
+(** [compute_packed aig ~k ~limit] keeps, for every node, up to [limit]
+    [k]-feasible cuts: the [limit - 1] smallest of its dominance-filtered
+    cuts in (leaf count, lexicographic leaves) order, then the trivial
+    cut, always last.  Each cut's function is computed bottom-up during
+    the merge.  [2 <= k <= 6].
 
     Each node is enumerated in a [limit]-entry candidate scratch with
     priority-cut truncation, and the result is certified exact when every

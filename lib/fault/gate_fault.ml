@@ -201,14 +201,12 @@ let sim_fault (m : Mapped.t) cones words base_vals base_outs scratch f =
 
 (* ---------------- incremental ATPG ---------------- *)
 
-type atpg_engine = Incremental | Rebuild
-
 (* One CNF miter per netlist: a good copy and a faulty copy sharing the
    primary inputs, with every surviving fault wired through a selector
    variable.  A fault is then decided by one [solve ~assumptions] with its
    selector true and all others false — the learned clauses, variable
    activities and the encoding itself are shared across the whole sweep,
-   instead of rebuilding a fresh miter per fault as [Rebuild] does.
+   instead of rebuilding a fresh miter per fault.
 
    Injection matches [inject]'s semantics exactly: an output stuck forces
    the instance output, a pin stuck forces the {e post-negation} pin value
@@ -362,7 +360,7 @@ end
 (* ---------------- the analysis driver ---------------- *)
 
 let analyze ?(rounds = 32) ?(seed = 2026L) ?(conflict_budget = 100_000)
-    ?(atpg = Incremental) ?stats (m : Mapped.t) =
+    ?stats (m : Mapped.t) =
   let faults = faults_of m in
   let n = Array.length faults in
   let status = Array.make n None in
@@ -388,38 +386,21 @@ let analyze ?(rounds = 32) ?(seed = 2026L) ?(conflict_budget = 100_000)
       faults
   done;
   (* ATPG sweep over the survivors *)
-  (if !live > 0 then
-     match atpg with
-     | Rebuild ->
-         let good = Mapped.to_aig m in
-         Array.iteri
-           (fun i f ->
-             if status.(i) = None then
-               let bad = Mapped.to_aig (inject m f) in
-               status.(i) <-
-                 Some
-                   (match
-                      Cec.check ~sim_rounds:4 ~conflict_budget ~seed ?stats
-                        good bad
-                    with
-                   | Cec.Equivalent -> Redundant
-                   | Cec.Inequivalent cex -> Detected_atpg cex
-                   | Cec.Undecided -> Unknown))
-           faults
-     | Incremental ->
-         let surv_idx = ref [] in
-         Array.iteri
-           (fun i _ -> if status.(i) = None then surv_idx := i :: !surv_idx)
-           faults;
-         let surv_idx = Array.of_list (List.rev !surv_idx) in
-         let survivors = Array.map (fun i -> faults.(i)) surv_idx in
-         let mt = Atpg.build m survivors in
-         Array.iteri
-           (fun k i -> status.(i) <- Some (Atpg.query mt ~conflict_budget k))
-           surv_idx;
-         (match stats with
-         | Some acc -> Solver.stats_accum acc (Solver.stats_of mt.Atpg.s)
-         | None -> ()));
+  (if !live > 0 then begin
+     let surv_idx = ref [] in
+     Array.iteri
+       (fun i _ -> if status.(i) = None then surv_idx := i :: !surv_idx)
+       faults;
+     let surv_idx = Array.of_list (List.rev !surv_idx) in
+     let survivors = Array.map (fun i -> faults.(i)) surv_idx in
+     let mt = Atpg.build m survivors in
+     Array.iteri
+       (fun k i -> status.(i) <- Some (Atpg.query mt ~conflict_budget k))
+       surv_idx;
+     match stats with
+     | Some acc -> Solver.stats_accum acc (Solver.stats_of mt.Atpg.s)
+     | None -> ()
+   end);
   let results =
     Array.mapi
       (fun i f ->

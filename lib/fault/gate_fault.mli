@@ -1,10 +1,11 @@
 (** Gate-level single-stuck-at fault simulation and ATPG over {!Mapped.t}.
 
     Random-pattern detection runs 64 patterns per word with per-fault
-    fanout-cone resimulation and fault dropping; undetected faults go to a
-    SAT miter ({!Cec.check}) between the netlist and a structurally
-    injected faulty copy under a conflict budget, so a hard fault degrades
-    to {!Unknown} instead of an unbounded solve. *)
+    fanout-cone resimulation and fault dropping.  The undetected faults
+    share one SAT miter between the netlist and a copy with every
+    survivor wired in behind a selector variable; each survivor is
+    decided by one assumption query under a conflict budget, so a hard
+    fault degrades to {!Unknown} instead of an unbounded solve. *)
 
 type site =
   | Pi_sa of int         (** primary input stuck *)
@@ -48,30 +49,21 @@ val inject : Mapped.t -> fault -> Mapped.t
     and converts with the ordinary {!Mapped} API; its cover provenance is
     stale by construction, so don't lint it. *)
 
-type atpg_engine =
-  | Incremental
-      (** one CNF miter per netlist, survivors decided as assumption
-          queries against per-fault selector variables (default) *)
-  | Rebuild
-      (** the pre-incremental behaviour: a fresh {!Cec.check} miter per
-          surviving fault *)
-
 val analyze :
   ?rounds:int ->
   ?seed:int64 ->
   ?conflict_budget:int ->
-  ?atpg:atpg_engine ->
   ?stats:Solver.stats ->
   Mapped.t ->
   result array * summary
 (** Full fault-simulation + ATPG run (defaults: 32 rounds, seed 2026,
-    budget 100k conflicts per fault, [Incremental] ATPG).  Deterministic
-    for fixed arguments; never raises on hard SAT instances.  [stats],
-    when given, accumulates the SAT effort of the ATPG sweep.
+    budget 100k conflicts per fault).  Deterministic for fixed arguments;
+    never raises on hard SAT instances.  [stats], when given, accumulates
+    the SAT effort of the ATPG sweep.
 
-    Both engines agree on every decided verdict (Redundant vs Detected);
-    only counterexample bits and the Unknown frontier under a conflict
-    budget may differ. *)
+    A decided verdict is the one a fresh {!Cec.check} between the
+    netlist and its {!inject}ed copy gives: {!Redundant} for
+    [Equivalent], {!Detected_atpg} for [Inequivalent]. *)
 
 val summary_line : summary -> string
 val status_name : status -> string

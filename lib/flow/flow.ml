@@ -197,14 +197,14 @@ let mapped_or_fail step ctx =
   | None -> fail "%s: no mapped netlist in the flow (run map first)" step.pass
 
 let pass_sta step =
-  let model =
-    {
-      Sta.unit_loads = arg_flag step "unit";
-      po_fanout =
-        Option.value (arg_float step "po")
-          ~default:Sta.default_model.Sta.po_fanout;
-    }
+  let po_fanout =
+    match arg_float step "po" with
+    | Some p when not (Float.is_finite p && p >= 0.0) ->
+        fail "sta: po expects a non-negative load, got %g" p
+    | Some p -> p
+    | None -> Sta.default_model.Sta.po_fanout
   in
+  let model = { Sta.unit_loads = arg_flag step "unit"; po_fanout } in
   fun _cfg ctx ->
     let m = mapped_or_fail step ctx in
     { ctx with sta = Some (Sta.analyze ~model m) }
@@ -248,7 +248,12 @@ let pass_lint step =
 
 let pass_verify step =
   let seed = arg_int64 step "seed" in
-  let rounds = Option.value (arg_int step "rounds") ~default:8 in
+  let rounds =
+    match arg_int step "rounds" with
+    | Some r when r < 1 -> fail "verify: rounds expects at least 1, got %d" r
+    | Some r -> r
+    | None -> 8
+  in
   fun cfg ctx ->
     let m = mapped_or_fail step ctx in
     let golden =
@@ -303,9 +308,18 @@ let pass_place step =
         }
 
 let pass_fault step =
-  let rounds = Option.value (arg_int step "rounds") ~default:32 in
+  let rounds =
+    match arg_int step "rounds" with
+    | Some r when r < 0 -> fail "fault: rounds expects at least 0, got %d" r
+    | Some r -> r
+    | None -> 32
+  in
   let seed = arg_int64 step "seed" in
-  let budget = arg_int step "budget" in
+  let budget =
+    match arg_int step "budget" with
+    | Some b when b < 1 -> fail "fault: budget expects at least 1, got %d" b
+    | b -> b
+  in
   fun cfg ctx ->
     let m = mapped_or_fail step ctx in
     let seed = Option.value seed ~default:cfg.seed in
@@ -462,7 +476,8 @@ let registry : (string * pass_info) list =
         p_apply = pass_map } );
     ( "sta",
       { p_doc =
-          "static timing analysis of the mapping [po=N (default 4), unit]";
+          "static timing analysis of the mapping [po=N (>= 0, default 4), \
+           unit]";
         p_args = [ "po"; "unit" ]; p_apply = pass_sta } );
     ( "lint",
       { p_doc = "lint the mapping (or the AIG before map) [aig, tag=T, name=N]";
@@ -470,7 +485,7 @@ let registry : (string * pass_info) list =
     ( "verify",
       { p_doc =
           "random-simulation equivalence of the mapping [seed=N, rounds=R \
-           (default 8)]";
+           (>= 1, default 8)]";
         p_args = [ "seed"; "rounds" ]; p_apply = pass_verify } );
     ( "place",
       { p_doc = "place onto the Sec. 5 regular fabric [rows=R, cols=C]";
@@ -478,7 +493,7 @@ let registry : (string * pass_info) list =
     ( "fault",
       { p_doc =
           "stuck-at fault simulation + SAT ATPG of the mapping [rounds=N \
-           (default 32), seed=N, budget=N]";
+           (>= 0, default 32), seed=N, budget=N (>= 1)]";
         p_args = [ "rounds"; "seed"; "budget" ];
         p_apply = pass_fault } );
     ( "testability",

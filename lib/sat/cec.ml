@@ -3,8 +3,6 @@ type verdict =
   | Inequivalent of bool array
   | Undecided
 
-type engine = Cdcl | Reference
-
 exception Undecided_budget
 
 let simulate_differs a b rng =
@@ -30,47 +28,39 @@ let simulate_differs a b rng =
            Int64.(logand (shift_right_logical words.(i) k) 1L) <> 0L))
   end
 
-(* The SAT side of the check, generic over the solver engine: build the
-   miter (shared inputs, per-output XOR, "some output differs") and run
-   one solve. *)
-module Miter (E : Solver.CORE) = struct
-  module C = Cnf.Make (E)
+(* The SAT side of the check: build the miter (shared inputs, per-output
+   XOR, "some output differs") and run one solve. *)
+let miter_check ~conflict_budget ~stats a b =
+  let s = Solver.create () in
+  let inputs = Array.init (Aig.num_inputs a) (fun _ -> Solver.new_var s) in
+  let va = Cnf.encode_shared s a ~inputs in
+  let vb = Cnf.encode_shared s b ~inputs in
+  (* xor_i <-> (out_a_i <> out_b_i); at least one xor_i true *)
+  let xors =
+    Array.init (Aig.num_outputs a) (fun i ->
+        let la = Cnf.lit_of va (snd (Aig.output a i)) in
+        let lb = Cnf.lit_of vb (snd (Aig.output b i)) in
+        let x = Solver.pos (Solver.new_var s) in
+        let nx = Solver.lit_not x in
+        let nla = Solver.lit_not la and nlb = Solver.lit_not lb in
+        Solver.add_clause s [ nx; la; lb ];
+        Solver.add_clause s [ nx; nla; nlb ];
+        Solver.add_clause s [ x; la; nlb ];
+        Solver.add_clause s [ x; nla; lb ];
+        x)
+  in
+  Solver.add_clause s (Array.to_list xors);
+  let r = Solver.solve ~conflict_budget s in
+  (match stats with
+  | Some acc -> Solver.stats_accum acc (Solver.stats_of s)
+  | None -> ());
+  match r with
+  | Solver.Unsat -> Equivalent
+  | Solver.Unknown -> Undecided
+  | Solver.Sat -> Inequivalent (Array.map (Solver.model_value s) inputs)
 
-  let check ~conflict_budget ~stats a b =
-    let s = E.create () in
-    let inputs = Array.init (Aig.num_inputs a) (fun _ -> E.new_var s) in
-    let va = C.encode_shared s a ~inputs in
-    let vb = C.encode_shared s b ~inputs in
-    (* xor_i <-> (out_a_i <> out_b_i); at least one xor_i true *)
-    let xors =
-      Array.init (Aig.num_outputs a) (fun i ->
-          let la = C.lit_of va (snd (Aig.output a i)) in
-          let lb = C.lit_of vb (snd (Aig.output b i)) in
-          let x = Solver.pos (E.new_var s) in
-          let nx = Solver.lit_not x in
-          let nla = Solver.lit_not la and nlb = Solver.lit_not lb in
-          E.add_clause s [ nx; la; lb ];
-          E.add_clause s [ nx; nla; nlb ];
-          E.add_clause s [ x; la; nlb ];
-          E.add_clause s [ x; nla; lb ];
-          x)
-    in
-    E.add_clause s (Array.to_list xors);
-    let r = E.solve ~conflict_budget s in
-    (match stats with
-    | Some acc -> Solver.stats_accum acc (E.stats_of s)
-    | None -> ());
-    match r with
-    | Solver.Unsat -> Equivalent
-    | Solver.Unknown -> Undecided
-    | Solver.Sat -> Inequivalent (Array.map (E.model_value s) inputs)
-end
-
-module Miter_cdcl = Miter (Solver)
-module Miter_ref = Miter (Solver.Reference)
-
-let check ?(engine = Cdcl) ?(sim_rounds = 16) ?(conflict_budget = max_int)
-    ?(seed = 42L) ?stats a b =
+let check ?(sim_rounds = 16) ?(conflict_budget = max_int) ?(seed = 42L)
+    ?stats a b =
   if Aig.num_inputs a <> Aig.num_inputs b then
     invalid_arg "Cec.check: input counts differ";
   if Aig.num_outputs a <> Aig.num_outputs b then
@@ -84,13 +74,10 @@ let check ?(engine = Cdcl) ?(sim_rounds = 16) ?(conflict_budget = max_int)
   in
   match sim sim_rounds with
   | Some cex -> Inequivalent cex
-  | None -> (
-      match engine with
-      | Cdcl -> Miter_cdcl.check ~conflict_budget ~stats a b
-      | Reference -> Miter_ref.check ~conflict_budget ~stats a b)
+  | None -> miter_check ~conflict_budget ~stats a b
 
-let equivalent ?engine ?conflict_budget a b =
-  match check ?engine ?conflict_budget a b with
+let equivalent ?conflict_budget a b =
+  match check ?conflict_budget a b with
   | Equivalent -> true
   | Inequivalent _ -> false
   | Undecided -> raise Undecided_budget

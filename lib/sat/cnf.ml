@@ -4,60 +4,39 @@ let lit_of vars l =
   let v = vars.(Aig.node_of l) in
   if Aig.is_compl l then Solver.neg v else Solver.pos v
 
-module type S = sig
-  type solver
+let encode_with s aig mk_input_var =
+  let n = Aig.num_nodes aig in
+  let vars = Array.make n (-1) in
+  (* constant node *)
+  vars.(0) <- Solver.new_var s;
+  Solver.add_clause s [ Solver.neg vars.(0) ];
+  for i = 0 to Aig.num_inputs aig - 1 do
+    vars.(i + 1) <- mk_input_var i
+  done;
+  Aig.iter_ands aig (fun nd ->
+      let v = Solver.new_var s in
+      vars.(nd) <- v;
+      let a = lit_of vars (Aig.fanin0 aig nd) in
+      let b = lit_of vars (Aig.fanin1 aig nd) in
+      let y = Solver.pos v in
+      (* y <-> a & b *)
+      Solver.add_clause s [ Solver.lit_not y; a ];
+      Solver.add_clause s [ Solver.lit_not y; b ];
+      Solver.add_clause s [ y; Solver.lit_not a; Solver.lit_not b ]);
+  vars
 
-  val lit_of : int array -> Aig.lit -> int
-  val encode : solver -> Aig.t -> int array
-  val encode_shared : solver -> Aig.t -> inputs:int array -> int array
-  val add_formula : solver -> formula -> unit
-end
+let encode s aig = encode_with s aig (fun _ -> Solver.new_var s)
 
-module Make (E : Solver.CORE) = struct
-  type solver = E.t
+let encode_shared s aig ~inputs =
+  if Array.length inputs <> Aig.num_inputs aig then
+    invalid_arg "Cnf.encode_shared";
+  encode_with s aig (fun i -> inputs.(i))
 
-  let lit_of = lit_of
-
-  let encode_with s aig mk_input_var =
-    let n = Aig.num_nodes aig in
-    let vars = Array.make n (-1) in
-    (* constant node *)
-    vars.(0) <- E.new_var s;
-    E.add_clause s [ Solver.neg vars.(0) ];
-    for i = 0 to Aig.num_inputs aig - 1 do
-      vars.(i + 1) <- mk_input_var i
-    done;
-    Aig.iter_ands aig (fun nd ->
-        let v = E.new_var s in
-        vars.(nd) <- v;
-        let a = lit_of vars (Aig.fanin0 aig nd) in
-        let b = lit_of vars (Aig.fanin1 aig nd) in
-        let y = Solver.pos v in
-        (* y <-> a & b *)
-        E.add_clause s [ Solver.lit_not y; a ];
-        E.add_clause s [ Solver.lit_not y; b ];
-        E.add_clause s [ y; Solver.lit_not a; Solver.lit_not b ]);
-    vars
-
-  let encode s aig = encode_with s aig (fun _ -> E.new_var s)
-
-  let encode_shared s aig ~inputs =
-    if Array.length inputs <> Aig.num_inputs aig then
-      invalid_arg "Cnf.encode_shared";
-    encode_with s aig (fun i -> inputs.(i))
-
-  let add_formula s fm =
-    while E.num_vars s < fm.fm_vars do
-      ignore (E.new_var s)
-    done;
-    List.iter (E.add_clause s) fm.fm_clauses
-end
-
-module Default = Make (Solver)
-
-let encode = Default.encode
-let encode_shared = Default.encode_shared
-let add_formula = Default.add_formula
+let add_formula s fm =
+  while Solver.num_vars s < fm.fm_vars do
+    ignore (Solver.new_var s)
+  done;
+  List.iter (Solver.add_clause s) fm.fm_clauses
 
 (* ------------------------------------------------------------------ *)
 (* DIMACS                                                             *)

@@ -1,48 +1,32 @@
-(** Tseitin encoding of AIGs into CNF, generic over the solver engine,
-    plus DIMACS import/export for reproducing solver behaviour outside
-    the flow. *)
+(** Tseitin encoding of AIGs into CNF for {!Solver}, plus DIMACS
+    import/export for reproducing solver behaviour outside the flow. *)
 
 type formula = {
   fm_vars : int;                (** number of variables *)
   fm_clauses : int list list;   (** clauses of solver literals *)
 }
 (** A plain clause list, the exchange format between DIMACS text and
-    either solver engine. *)
+    the solver. *)
 
 val lit_of : int array -> Aig.lit -> int
 (** [lit_of vars l] is the solver literal for AIG literal [l], given the
-    node-to-variable map returned by [encode].  Pure literal arithmetic —
-    valid for every engine. *)
+    node-to-variable map returned by {!encode}. *)
 
-(** {1 Engine-generic encoding} *)
-
-module type S = sig
-  type solver
-
-  val lit_of : int array -> Aig.lit -> int
-
-  val encode : solver -> Aig.t -> int array
-  (** Adds one solver variable per AIG node (constant node included,
-      clamped to false) and the three AND-gate clauses per node.  Returns
-      the node-indexed variable map.  Can be called for several graphs on
-      one solver; to share inputs use {!encode_shared}. *)
-
-  val encode_shared : solver -> Aig.t -> inputs:int array -> int array
-  (** Like {!encode} but uses the given solver variables for the primary
-      inputs ([inputs.(i)] for input [i]). *)
-
-  val add_formula : solver -> formula -> unit
-  (** Creates variables up to [fm_vars] (if the solver has fewer) and adds
-      every clause. *)
-end
-
-module Make (E : Solver.CORE) : S with type solver = E.t
-
-(** The default instance, over the default engine. *)
+(** {1 Encoding} *)
 
 val encode : Solver.t -> Aig.t -> int array
+(** Adds one solver variable per AIG node (constant node included,
+    clamped to false) and the three AND-gate clauses per node.  Returns
+    the node-indexed variable map.  Can be called for several graphs on
+    one solver; to share inputs use {!encode_shared}. *)
+
 val encode_shared : Solver.t -> Aig.t -> inputs:int array -> int array
+(** Like {!encode} but uses the given solver variables for the primary
+    inputs ([inputs.(i)] for input [i]). *)
+
 val add_formula : Solver.t -> formula -> unit
+(** Creates variables up to [fm_vars] (if the solver has fewer) and adds
+    every clause. *)
 
 (** {1 DIMACS} *)
 

@@ -1,6 +1,6 @@
-(* Two CDCL solvers behind the CORE signature.
+(* A CDCL solver.
 
-   The default engine stores clauses in a single int arena as
+   Clauses live in a single int arena as
    [header; size; lit_0; ...; lit_{size-1}], referred to by the offset of
    the header word.  The header packs [(lbd lsl 1) lor learned]; the first
    two literals (offsets +2 and +3) are the watches.  Watcher lists are
@@ -10,11 +10,7 @@
    the arena.  [solve ~assumptions] follows MiniSat: assumptions are
    replayed as the first decision levels on every (re)start, an already
    true assumption opens a dummy level, and a false one triggers
-   final-conflict analysis yielding the unsat core.
-
-   [Reference] is the seed solver, kept verbatim (plus restart/learned
-   counters) for differential testing; it implements assumptions by
-   monolithic re-solve over a recorded clause list. *)
+   final-conflict analysis yielding the unsat core. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -72,34 +68,12 @@ module Vec = struct
   let clear v = v.n <- 0
 end
 
-module type CORE = sig
-  type t
-
-  val create : unit -> t
-  val new_var : t -> int
-  val num_vars : t -> int
-  val add_clause : t -> int list -> unit
-  val solve : ?assumptions:int list -> ?conflict_budget:int -> t -> result
-  val model_value : t -> int -> bool
-  val unsat_core : t -> int list
-  val stats_of : t -> stats
-  val num_conflicts : t -> int
-  val num_decisions : t -> int
-  val num_propagations : t -> int
-  val num_restarts : t -> int
-  val num_learned : t -> int
-end
-
 (* The reluctant-doubling (Luby) sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 … *)
 let rec luby i =
   let k = ref 1 in
   while (1 lsl !k) - 1 < i do incr k done;
   if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
   else luby (i - (1 lsl (!k - 1)) + 1)
-
-(* ------------------------------------------------------------------ *)
-(* The default engine                                                 *)
-(* ------------------------------------------------------------------ *)
 
 type t = {
   mutable nvars : int;
@@ -676,468 +650,3 @@ let solve ?(assumptions = []) ?(conflict_budget = max_int) s =
 let model_value s v =
   if v < 0 || v >= s.nvars then invalid_arg "Solver.model_value";
   s.assigns.(v) = 1
-
-(* ------------------------------------------------------------------ *)
-(* The seed engine                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  (* The seed CDCL solver, verbatim apart from the [restarts] and
-     [learned] counters: no blockers, no clause headers (a clause is
-     [size; lits...]), no learned-database reduction, no assumptions. *)
-  module Seed = struct
-    type t = {
-      mutable nvars : int;
-      mutable assigns : int array;
-      mutable level : int array;
-      mutable reason : int array;
-      mutable activity : float array;
-      mutable polarity : bool array;
-      mutable heap_pos : int array;
-      heap : Vec.t;
-      arena : Vec.t;
-      mutable watches : Vec.t array;
-      trail : Vec.t;
-      trail_lim : Vec.t;
-      mutable qhead : int;
-      mutable var_inc : float;
-      mutable seen : bool array;
-      mutable ok : bool;
-      mutable conflicts : int;
-      mutable decisions : int;
-      mutable propagations : int;
-      mutable restarts : int;
-      mutable learned : int;
-    }
-
-    let create () =
-      {
-        nvars = 0;
-        assigns = Array.make 16 (-1);
-        level = Array.make 16 0;
-        reason = Array.make 16 (-1);
-        activity = Array.make 16 0.0;
-        polarity = Array.make 16 false;
-        heap_pos = Array.make 16 (-1);
-        heap = Vec.create ();
-        arena = Vec.create ();
-        watches = Array.init 32 (fun _ -> Vec.create ());
-        trail = Vec.create ();
-        trail_lim = Vec.create ();
-        qhead = 0;
-        var_inc = 1.0;
-        seen = Array.make 16 false;
-        ok = true;
-        conflicts = 0;
-        decisions = 0;
-        propagations = 0;
-        restarts = 0;
-        learned = 0;
-      }
-
-    let lit_value s l =
-      let a = s.assigns.(lit_var l) in
-      if a < 0 then -1 else if lit_sign l then a else 1 - a
-
-    let heap_less s v1 v2 = s.activity.(v1) > s.activity.(v2)
-
-    let heap_swap s i j =
-      let a = Vec.get s.heap i and b = Vec.get s.heap j in
-      Vec.set s.heap i b;
-      Vec.set s.heap j a;
-      s.heap_pos.(a) <- j;
-      s.heap_pos.(b) <- i
-
-    let rec heap_up s i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        if heap_less s (Vec.get s.heap i) (Vec.get s.heap p) then begin
-          heap_swap s i p;
-          heap_up s p
-        end
-      end
-
-    let rec heap_down s i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let n = Vec.size s.heap in
-      let best = ref i in
-      if l < n && heap_less s (Vec.get s.heap l) (Vec.get s.heap !best) then
-        best := l;
-      if r < n && heap_less s (Vec.get s.heap r) (Vec.get s.heap !best) then
-        best := r;
-      if !best <> i then begin
-        heap_swap s i !best;
-        heap_down s !best
-      end
-
-    let heap_insert s v =
-      if s.heap_pos.(v) < 0 then begin
-        Vec.push s.heap v;
-        s.heap_pos.(v) <- Vec.size s.heap - 1;
-        heap_up s (Vec.size s.heap - 1)
-      end
-
-    let heap_pop s =
-      let top = Vec.get s.heap 0 in
-      let last = Vec.get s.heap (Vec.size s.heap - 1) in
-      Vec.shrink s.heap (Vec.size s.heap - 1);
-      s.heap_pos.(top) <- -1;
-      if Vec.size s.heap > 0 then begin
-        Vec.set s.heap 0 last;
-        s.heap_pos.(last) <- 0;
-        heap_down s 0
-      end;
-      top
-
-    let grow_arrays s =
-      let n = Array.length s.assigns in
-      let m = 2 * n in
-      let ext def a =
-        let b = Array.make m def in
-        Array.blit a 0 b 0 n;
-        b
-      in
-      s.assigns <- ext (-1) s.assigns;
-      s.level <- ext 0 s.level;
-      s.reason <- ext (-1) s.reason;
-      s.activity <- Array.append s.activity (Array.make n 0.0);
-      s.polarity <- Array.append s.polarity (Array.make n false);
-      s.heap_pos <- ext (-1) s.heap_pos;
-      s.seen <- Array.append s.seen (Array.make n false);
-      let w = Array.init (2 * m) (fun _ -> Vec.create ()) in
-      Array.blit s.watches 0 w 0 (2 * n);
-      s.watches <- w
-
-    let new_var s =
-      if s.nvars >= Array.length s.assigns then grow_arrays s;
-      let v = s.nvars in
-      s.nvars <- v + 1;
-      s.assigns.(v) <- -1;
-      s.reason.(v) <- -1;
-      s.heap_pos.(v) <- -1;
-      heap_insert s v;
-      v
-
-    let decision_level s = Vec.size s.trail_lim
-
-    let enqueue s l reason =
-      s.assigns.(lit_var l) <- (if lit_sign l then 1 else 0);
-      s.level.(lit_var l) <- decision_level s;
-      s.reason.(lit_var l) <- reason;
-      Vec.push s.trail l
-
-    let propagate s =
-      let confl = ref (-1) in
-      while !confl < 0 && s.qhead < Vec.size s.trail do
-        let p = Vec.get s.trail s.qhead in
-        s.qhead <- s.qhead + 1;
-        s.propagations <- s.propagations + 1;
-        let false_lit = lit_not p in
-        let ws = s.watches.(false_lit) in
-        let i = ref 0 and j = ref 0 in
-        let n = Vec.size ws in
-        while !i < n do
-          let cref = Vec.get ws !i in
-          incr i;
-          if !confl >= 0 then begin
-            Vec.set ws !j cref;
-            incr j
-          end
-          else begin
-            let size = Vec.get s.arena cref in
-            if Vec.get s.arena (cref + 1) = false_lit then begin
-              Vec.set s.arena (cref + 1) (Vec.get s.arena (cref + 2));
-              Vec.set s.arena (cref + 2) false_lit
-            end;
-            let first = Vec.get s.arena (cref + 1) in
-            if lit_value s first = 1 then begin
-              Vec.set ws !j cref;
-              incr j
-            end
-            else begin
-              let found = ref false in
-              let k = ref 3 in
-              while (not !found) && !k <= size do
-                let l = Vec.get s.arena (cref + !k) in
-                if lit_value s l <> 0 then begin
-                  Vec.set s.arena (cref + 2) l;
-                  Vec.set s.arena (cref + !k) false_lit;
-                  Vec.push s.watches.(l) cref;
-                  found := true
-                end;
-                incr k
-              done;
-              if not !found then begin
-                Vec.set ws !j cref;
-                incr j;
-                if lit_value s first = 0 then confl := cref
-                else enqueue s first cref
-              end
-            end
-          end
-        done;
-        Vec.shrink ws !j
-      done;
-      !confl
-
-    let var_bump s v =
-      s.activity.(v) <- s.activity.(v) +. s.var_inc;
-      if s.activity.(v) > 1e100 then begin
-        for u = 0 to s.nvars - 1 do
-          s.activity.(u) <- s.activity.(u) *. 1e-100
-        done;
-        s.var_inc <- s.var_inc *. 1e-100
-      end;
-      if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
-
-    let var_decay s = s.var_inc <- s.var_inc /. 0.95
-
-    let attach s cref =
-      Vec.push s.watches.(Vec.get s.arena (cref + 1)) cref;
-      Vec.push s.watches.(Vec.get s.arena (cref + 2)) cref
-
-    let push_clause s lits =
-      let cref = Vec.size s.arena in
-      Vec.push s.arena (List.length lits);
-      List.iter (Vec.push s.arena) lits;
-      attach s cref;
-      cref
-
-    let backtrack s lvl =
-      if decision_level s > lvl then begin
-        let bound = Vec.get s.trail_lim lvl in
-        for i = Vec.size s.trail - 1 downto bound do
-          let l = Vec.get s.trail i in
-          let v = lit_var l in
-          s.assigns.(v) <- -1;
-          s.polarity.(v) <- lit_sign l;
-          heap_insert s v
-        done;
-        Vec.shrink s.trail bound;
-        Vec.shrink s.trail_lim lvl;
-        s.qhead <- Vec.size s.trail
-      end
-
-    let analyze s confl =
-      let learned = ref [] in
-      let path = ref 0 in
-      let p = ref (-1) in
-      let idx = ref (Vec.size s.trail - 1) in
-      let confl = ref confl in
-      let continue = ref true in
-      let btlevel = ref 0 in
-      while !continue do
-        let size = Vec.get s.arena !confl in
-        let start = if !p < 0 then 1 else 2 in
-        for k = start to size do
-          let q = Vec.get s.arena (!confl + k) in
-          let v = lit_var q in
-          if (not s.seen.(v)) && s.level.(v) > 0 then begin
-            s.seen.(v) <- true;
-            var_bump s v;
-            if s.level.(v) >= decision_level s then incr path
-            else begin
-              learned := q :: !learned;
-              if s.level.(v) > !btlevel then btlevel := s.level.(v)
-            end
-          end
-        done;
-        while not s.seen.(lit_var (Vec.get s.trail !idx)) do
-          decr idx
-        done;
-        p := Vec.get s.trail !idx;
-        decr idx;
-        s.seen.(lit_var !p) <- false;
-        decr path;
-        if !path > 0 then confl := s.reason.(lit_var !p) else continue := false
-      done;
-      let clause = lit_not !p :: !learned in
-      List.iter (fun l -> s.seen.(lit_var l) <- false) !learned;
-      (clause, !btlevel)
-
-    let add_clause s lits =
-      if s.ok then begin
-        backtrack s 0;
-        let lits = List.sort_uniq compare lits in
-        let tauto =
-          List.exists (fun l -> List.mem (lit_not l) lits) lits
-          || List.exists (fun l -> lit_value s l = 1) lits
-        in
-        if not tauto then begin
-          let lits = List.filter (fun l -> lit_value s l <> 0) lits in
-          match lits with
-          | [] -> s.ok <- false
-          | [ l ] ->
-              enqueue s l (-1);
-              if propagate s >= 0 then s.ok <- false
-          | lits -> ignore (push_clause s lits)
-        end
-      end
-
-    let decide s =
-      let rec pick () =
-        if Vec.size s.heap = 0 then -1
-        else
-          let v = heap_pop s in
-          if s.assigns.(v) < 0 then v else pick ()
-      in
-      let v = pick () in
-      if v < 0 then false
-      else begin
-        s.decisions <- s.decisions + 1;
-        Vec.push s.trail_lim (Vec.size s.trail);
-        enqueue s (if s.polarity.(v) then pos v else neg v) (-1);
-        true
-      end
-
-    let solve ?(conflict_budget = max_int) s =
-      if not s.ok then Unsat
-      else begin
-        let budget = ref conflict_budget in
-        let restart_num = ref 1 in
-        let until_restart = ref (100 * luby !restart_num) in
-        try
-          while true do
-            let confl = propagate s in
-            if confl >= 0 then begin
-              s.conflicts <- s.conflicts + 1;
-              decr budget;
-              decr until_restart;
-              if decision_level s = 0 then begin
-                s.ok <- false;
-                raise (Finished Unsat)
-              end;
-              if !budget <= 0 then begin
-                backtrack s 0;
-                raise (Finished Unknown)
-              end;
-              let clause, btlevel = analyze s confl in
-              backtrack s btlevel;
-              (match clause with
-              | [ l ] -> enqueue s l (-1)
-              | l :: _ ->
-                  let cref = push_clause s clause in
-                  s.learned <- s.learned + 1;
-                  enqueue s l cref
-              | [] -> assert false);
-              var_decay s
-            end
-            else if !until_restart <= 0 then begin
-              s.restarts <- s.restarts + 1;
-              incr restart_num;
-              until_restart := 100 * luby !restart_num;
-              backtrack s 0
-            end
-            else if not (decide s) then raise (Finished Sat)
-          done;
-          assert false
-        with Finished r -> r
-      end
-
-    let model_value s v =
-      if v < 0 || v >= s.nvars then invalid_arg "Solver.model_value";
-      s.assigns.(v) = 1
-  end
-
-  (* Assumption support by monolithic re-solve: the wrapper records every
-     clause; [solve ~assumptions] builds a fresh seed solver over the
-     recorded clauses plus the assumptions as unit clauses.  This is the
-     definition of "incremental ≡ monolithic" the default engine is
-     differential-tested against. *)
-  type t = {
-    seed : Seed.t;                  (* serves the no-assumption solves *)
-    mutable nv : int;
-    mutable clauses : int list list;  (* recorded raw clauses, newest first *)
-    mutable model : bool array;     (* model of the last assumption solve *)
-    mutable use_model : bool;       (* read [model] instead of [seed]? *)
-    mutable core : int list;
-    mutable solves : int;
-    (* counters inherited from discarded re-solve instances *)
-    mutable acc_conflicts : int;
-    mutable acc_decisions : int;
-    mutable acc_propagations : int;
-    mutable acc_restarts : int;
-    mutable acc_learned : int;
-  }
-
-  let create () =
-    {
-      seed = Seed.create ();
-      nv = 0;
-      clauses = [];
-      model = [||];
-      use_model = false;
-      core = [];
-      solves = 0;
-      acc_conflicts = 0;
-      acc_decisions = 0;
-      acc_propagations = 0;
-      acc_restarts = 0;
-      acc_learned = 0;
-    }
-
-  let new_var t =
-    let v = Seed.new_var t.seed in
-    t.nv <- t.nv + 1;
-    v
-
-  let num_vars t = t.nv
-
-  let add_clause t lits =
-    t.clauses <- lits :: t.clauses;
-    Seed.add_clause t.seed lits
-
-  let solve ?(assumptions = []) ?(conflict_budget = max_int) t =
-    t.solves <- t.solves + 1;
-    t.core <- [];
-    match assumptions with
-    | [] ->
-        t.use_model <- false;
-        Seed.solve ~conflict_budget t.seed
-    | _ ->
-        let s2 = Seed.create () in
-        for _ = 1 to t.nv do
-          ignore (Seed.new_var s2)
-        done;
-        List.iter (Seed.add_clause s2) (List.rev t.clauses);
-        List.iter (fun a -> Seed.add_clause s2 [ a ]) assumptions;
-        let r = Seed.solve ~conflict_budget s2 in
-        t.acc_conflicts <- t.acc_conflicts + s2.Seed.conflicts;
-        t.acc_decisions <- t.acc_decisions + s2.Seed.decisions;
-        t.acc_propagations <- t.acc_propagations + s2.Seed.propagations;
-        t.acc_restarts <- t.acc_restarts + s2.Seed.restarts;
-        t.acc_learned <- t.acc_learned + s2.Seed.learned;
-        (match r with
-        | Sat ->
-            t.model <- Array.init t.nv (Seed.model_value s2);
-            t.use_model <- true
-        | Unsat ->
-            (* trivial (non-minimal) core: every assumption *)
-            t.core <- assumptions
-        | Unknown -> ());
-        r
-
-  let model_value t v =
-    if t.use_model then begin
-      if v < 0 || v >= t.nv then invalid_arg "Solver.model_value";
-      t.model.(v)
-    end
-    else Seed.model_value t.seed v
-
-  let unsat_core t = t.core
-  let num_conflicts t = t.seed.Seed.conflicts + t.acc_conflicts
-  let num_decisions t = t.seed.Seed.decisions + t.acc_decisions
-  let num_propagations t = t.seed.Seed.propagations + t.acc_propagations
-  let num_restarts t = t.seed.Seed.restarts + t.acc_restarts
-  let num_learned t = t.seed.Seed.learned + t.acc_learned
-
-  let stats_of t =
-    {
-      sat_solves = t.solves;
-      sat_conflicts = num_conflicts t;
-      sat_decisions = num_decisions t;
-      sat_propagations = num_propagations t;
-      sat_restarts = num_restarts t;
-      sat_learned = num_learned t;
-    }
-end

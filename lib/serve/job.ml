@@ -44,6 +44,12 @@ let parse_script (sub : Proto.submit) =
 let flow_config ~(base : Flow.config) (sub : Proto.submit) =
   let p = sub.Proto.sub_params in
   Option.iter (reject "%s") (Proto.params_error p);
+  (* as for cec(budget=) and fault(budget=): a budget below 1 decides
+     nothing *)
+  (match p.Proto.conflict_budget with
+  | Some b when b < 1 ->
+      reject "params.conflict_budget expects at least 1, got %d" b
+  | _ -> ());
   {
     base with
     Flow.family = sub.Proto.sub_family;

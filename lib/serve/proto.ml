@@ -9,8 +9,8 @@
 
    A pass's own parameters are arguments in the script, checked when it is
    parsed.  [params] holds only the two settings that span several passes:
-   [seed] (verify, fault, cec) and [conflict_budget] (lint, fault, cec).
-   Any other key is a parse-error naming it.
+   [seed] (verify, fault, cec) and [conflict_budget] (lint, fault, cec;
+   at least 1).  Any other key is a parse-error naming it.
 
    Terminal replies carry the request's [id] plus a [status]:
 

@@ -109,46 +109,6 @@ let balance aig =
 
 (* ---------------- refactor / rewrite ---------------- *)
 
-(* Greedy reconvergence-driven cut of at most [k] leaves. *)
-let greedy_cut aig nd k =
-  let leaves = Hashtbl.create 8 in
-  let add n = Hashtbl.replace leaves n () in
-  add (Aig.node_of (Aig.fanin0 aig nd));
-  add (Aig.node_of (Aig.fanin1 aig nd));
-  let continue = ref true in
-  let steps = ref 0 in
-  while !continue && !steps < 64 do
-    incr steps;
-    (* pick the expandable leaf with the smallest growth *)
-    let best = ref None in
-    Hashtbl.iter
-      (fun leaf () ->
-        if Aig.is_and aig leaf then begin
-          let f0 = Aig.node_of (Aig.fanin0 aig leaf) in
-          let f1 = Aig.node_of (Aig.fanin1 aig leaf) in
-          let growth =
-            (if Hashtbl.mem leaves f0 || f0 = leaf then 0 else 1)
-            + (if Hashtbl.mem leaves f1 || f1 = leaf then 0 else 1)
-            - 1
-          in
-          let size' = Hashtbl.length leaves + growth in
-          if size' <= k then
-            match !best with
-            | Some (_, g) when g <= growth -> ()
-            | _ -> best := Some (leaf, growth)
-        end)
-      leaves;
-    match !best with
-    | None -> continue := false
-    | Some (leaf, _) ->
-        Hashtbl.remove leaves leaf;
-        add (Aig.node_of (Aig.fanin0 aig leaf));
-        add (Aig.node_of (Aig.fanin1 aig leaf))
-  done;
-  let arr = Array.of_seq (Hashtbl.to_seq_keys leaves) in
-  Array.sort compare arr;
-  arr
-
 let rec build_form g leaf_lits = function
   | Factored.Const b -> if b then Aig.lit_true else Aig.lit_false
   | Factored.Lit (i, s) ->
@@ -162,10 +122,9 @@ let max_isop_cubes = 96
 
 (* ISOP + factoring of a cone function is a pure function of its truth
    table, and the same tables recur constantly across nodes and across the
-   sub-passes of a script (~96% repeats on the benchmark suite).  The
-   packed engine memoizes the result per domain; the reference engine
-   keeps the legacy always-recompute path.  The cache changes nothing but
-   wall time: identical inputs map to the identical factored form. *)
+   sub-passes of a script (~96% repeats on the benchmark suite), so the
+   result is memoized per domain.  The cache changes nothing but wall
+   time: identical inputs map to the identical factored form. *)
 let form_cache_bound = 1 lsl 15
 
 (* Keyed on {!Tt.hash}, which mixes every word of the table; the generic
@@ -194,14 +153,7 @@ let form_cache : form_caches Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { cur = Form_tbl.create 1024; prev = Form_tbl.create 16 })
 
-let pick_form_raw t =
-  let sop = Sop.isop t in
-  if Sop.num_cubes sop > max_isop_cubes then None
-  else
-    let f = Factored.factor sop in
-    Some (f, Factored.num_and2 f)
-
-let pick_form_cached t =
+let pick_form t =
   let c = Domain.DLS.get form_cache in
   match Form_tbl.find_opt c.cur t with
   | Some r -> r
@@ -209,7 +161,12 @@ let pick_form_cached t =
       let r =
         match Form_tbl.find_opt c.prev t with
         | Some r -> r
-        | None -> pick_form_raw t
+        | None ->
+            let sop = Sop.isop t in
+            if Sop.num_cubes sop > max_isop_cubes then None
+            else
+              let f = Factored.factor sop in
+              Some (f, Factored.num_and2 f)
       in
       if Form_tbl.length c.cur >= form_cache_bound then begin
         let o = c.prev in
@@ -220,37 +177,12 @@ let pick_form_cached t =
       Form_tbl.add c.cur t r;
       r
 
-(* Number of AND nodes that stop being referenced when the cone of [nd]
-   above the cut is bypassed: the node's MFFC restricted to the cone.
-   [refs] are whole-graph fanout counts. *)
-let deaths_in_cone aig refs nd cut =
-  let in_cut = Hashtbl.create 8 in
-  Array.iter (fun n -> Hashtbl.replace in_cut n ()) cut;
-  let dec = Hashtbl.create 8 in
-  let deref n =
-    let d = try Hashtbl.find dec n with Not_found -> 0 in
-    Hashtbl.replace dec n (d + 1);
-    refs.(n) - (d + 1) = 0
-  in
-  let count = ref 0 in
-  let rec go n =
-    incr count;
-    let visit f =
-      let m = Aig.node_of f in
-      if Aig.is_and aig m && (not (Hashtbl.mem in_cut m)) && deref m then go m
-    in
-    visit (Aig.fanin0 aig n);
-    visit (Aig.fanin1 aig n)
-  in
-  go nd;
-  !count
-
-(* Per-chunk scratch of the refactor sweep's packed-engine helpers:
-   timestamped marks (a stamp bump invalidates all marks at once, so no
-   per-call table is ever built or cleared) plus the greedy-cut leaf
-   arrays.  One instance per {!Par.run} chunk index — every helper's
-   result is a pure function of the source graph, so which chunk
-   analyzes which node cannot change any value. *)
+(* Per-chunk scratch of the refactor sweep's helpers: timestamped marks
+   (a stamp bump invalidates all marks at once, so no per-call table is
+   ever built or cleared) plus the greedy-cut leaf arrays.  One instance
+   per {!Par.run} chunk index — every helper's result is a pure function
+   of the source graph, so which chunk analyzes which node cannot change
+   any value. *)
 type ts_scratch = {
   ts_mark : int array;
   ts_dec : int array;
@@ -260,8 +192,8 @@ type ts_scratch = {
   ts_gseq : int array;
 }
 
-let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
-    ?(engine = Cut.Packed) ?stats ?(jobs = 1) aig =
+let refactor_impl ?(zero_gain = false) ?(cut_size = 10) ?stats ?(jobs = 1)
+    aig =
   let st = match stats with Some s -> s | None -> Cut.stats_create () in
   let cut_size = min cut_size Tt.max_vars in
   let fresh = Aig.create ~size_hint:(Aig.num_nodes aig) () in
@@ -291,7 +223,9 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
     sc.ts_dec.(m) <- sc.ts_dec.(m) + 1;
     refs.(m) - sc.ts_dec.(m) = 0
   in
-  (* [deaths_in_cone], timestamp edition: same traversal, same count. *)
+  (* Number of AND nodes that stop being referenced when the cone of [nd]
+     above [cut] is bypassed: the node's MFFC restricted to the cone
+     ([refs] are whole-graph fanout counts). *)
   let deaths_in_cone_ts sc nd cut =
     sc.ts_stamp <- sc.ts_stamp + 1;
     let s = sc.ts_stamp in
@@ -309,7 +243,7 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
     go nd;
     !count
   in
-  (* [Aig.mffc_size], timestamp edition. *)
+  (* [Aig.mffc_size aig refs root] over the timestamped marks. *)
   let mffc_size_ts sc root =
     if not (Aig.is_and aig root) then 0
     else begin
@@ -329,10 +263,12 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
       !count
     end
   in
-  (* [greedy_cut] without the Hashtbl: leaves live in a small scratch
-     array.  The reference picks the first minimal-growth leaf in
-     [Hashtbl.iter] order, so to stay result-identical this edition breaks
-     growth ties exactly the way that table iterates: ascending bucket
+  (* Greedy reconvergence-driven cut of at most [k] leaves: repeatedly
+     expands the leaf with the smallest growth.  Leaves live in a small
+     scratch array.  The seed kept them in a [Hashtbl] (its version is the
+     tests' oracle) and took the first minimal-growth leaf in
+     [Hashtbl.iter] order, so to stay result-identical growth ties break
+     exactly the way that table iterates: ascending bucket
      ([Hashtbl.hash leaf land 15] — 16 buckets, seed 0, and the table never
      grows past the 32-binding resize threshold here), then
      most-recently-inserted first within a bucket. *)
@@ -412,76 +348,34 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
     Array.sort compare arr;
     arr
   in
-  let greedy sc =
-    match engine with
-    | Cut.Packed -> greedy_cut_ts sc
-    | Cut.Reference -> greedy_cut aig
-  in
-  let deaths sc =
-    match engine with
-    | Cut.Packed -> deaths_in_cone_ts sc
-    | Cut.Reference -> deaths_in_cone aig refs
-  in
-  let mffc_of sc =
-    match engine with
-    | Cut.Packed -> mffc_size_ts sc
-    | Cut.Reference -> Aig.mffc_size aig refs
-  in
   (* Small cuts: use the priority-cut enumeration (several candidate cones
-     per node, like ABC's rewrite); large cuts: one greedy reconvergent
-     cut per node (like ABC's refactor).  Each cut is paired with its
-     function when the engine already knows it (packed priority cuts);
-     [None] falls back to the cone walk. *)
+     per node, like ABC's rewrite) plus the greedy reconvergent cut, which
+     the enumeration's preference for small cuts can crowd out; large
+     cuts: one greedy reconvergent cut per node (like ABC's refactor).
+     Each priority cut is paired with its function, read straight out of
+     the enumeration; [None] (the greedy cut) falls back to the cone
+     walk. *)
   let enum_cuts : ts_scratch -> int -> (int array * Tt.t option) list =
     if cut_size <= 6 then begin
-      match engine with
-      | Cut.Packed ->
-          let cs = Cut.compute_packed ~stats:st aig ~k:cut_size ~limit:8 in
-          fun sc nd ->
-            let prio = ref [] in
-            for j = Cut.num_cuts cs nd - 1 downto 0 do
-              let m = Cut.cut_nleaves cs nd j in
-              if m >= 2 then
-                prio :=
-                  ( Cut.cut_leaves cs nd j,
-                    Some (Tt.of_bits m (Cut.cut_tt cs nd j)) )
-                  :: !prio
-            done;
-            let prio = !prio in
-            let g = greedy sc nd cut_size in
-            if
-              Array.length g >= 2
-              && not (List.exists (fun (l, _) -> l = g) prio)
-            then (g, None) :: prio
-            else prio
-      | Cut.Reference ->
-          let cuts = Cut.compute aig ~k:cut_size ~limit:8 in
-          fun sc nd ->
-            (* priority cuts plus the greedy reconvergent cut (the
-               enumeration favors small cuts and can crowd out the
-               reconvergent one) *)
-            let prio =
-              List.filter_map
-                (fun c ->
-                  let l = c.Cut.leaves in
-                  if Array.length l < 2 then None else Some (l, None))
-                cuts.(nd)
-            in
-            let g = greedy sc nd cut_size in
-            if
-              Array.length g >= 2
-              && not (List.exists (fun (l, _) -> l = g) prio)
-            then (g, None) :: prio
-            else prio
+      let cs = Cut.compute_packed ~stats:st aig ~k:cut_size ~limit:8 in
+      fun sc nd ->
+        let prio = ref [] in
+        for j = Cut.num_cuts cs nd - 1 downto 0 do
+          let m = Cut.cut_nleaves cs nd j in
+          if m >= 2 then
+            prio :=
+              (Cut.cut_leaves cs nd j, Some (Tt.of_bits m (Cut.cut_tt cs nd j)))
+              :: !prio
+        done;
+        let prio = !prio in
+        let g = greedy_cut_ts sc nd cut_size in
+        if Array.length g >= 2 && not (List.exists (fun (l, _) -> l = g) prio)
+        then (g, None) :: prio
+        else prio
     end
     else fun sc nd ->
-      let c = greedy sc nd cut_size in
+      let c = greedy_cut_ts sc nd cut_size in
       if Array.length c >= 2 then [ (c, None) ] else []
-  in
-  let pick_form =
-    match engine with
-    | Cut.Packed -> pick_form_cached
-    | Cut.Reference -> pick_form_raw
   in
   (* The sweep runs in two phases per window of node ids.
 
@@ -505,7 +399,7 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
   let analyze sc nd =
     if (not (Aig.is_and aig nd)) || refs.(nd) = 0 then (0, [])
     else begin
-      let mffc = mffc_of sc nd in
+      let mffc = mffc_size_ts sc nd in
       (* Candidates over all cuts and both output polarities.  The value
          of a candidate is (nodes that die) - (strash-aware rebuild
          cost); the plain copy scores 0, so any positive score is a
@@ -513,7 +407,7 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10)
       let candidates =
         List.concat_map
           (fun (cut, tt_opt) ->
-            let deaths = deaths sc nd cut in
+            let deaths = deaths_in_cone_ts sc nd cut in
             let tt =
               match tt_opt with
               | Some t -> t
@@ -622,17 +516,17 @@ let guard pass aig =
   let out = pass aig in
   if Aig.num_ands out <= Aig.num_ands aig then out else aig
 
-let refactor ?zero_gain ?cut_size ?engine ?stats ?jobs aig =
-  guard (refactor_impl ?zero_gain ?cut_size ?engine ?stats ?jobs) aig
+let refactor ?zero_gain ?cut_size ?stats ?jobs aig =
+  guard (refactor_impl ?zero_gain ?cut_size ?stats ?jobs) aig
 
-let rewrite ?(zero_gain = false) ?engine ?stats ?jobs aig =
-  refactor ~zero_gain ~cut_size:4 ?engine ?stats ?jobs aig
+let rewrite ?(zero_gain = false) ?stats ?jobs aig =
+  refactor ~zero_gain ~cut_size:4 ?stats ?jobs aig
 
-let resyn2rs ?engine ?stats ?jobs aig =
-  let rewrite ?zero_gain a = rewrite ?zero_gain ?engine ?stats ?jobs a in
-  let refactor ?zero_gain a = refactor ?zero_gain ?engine ?stats ?jobs a in
+let resyn2rs ?stats ?jobs aig =
+  let rewrite ?zero_gain a = rewrite ?zero_gain ?stats ?jobs a in
+  let refactor ?zero_gain a = refactor ?zero_gain ?stats ?jobs a in
   aig |> rewrite |> refactor |> balance |> rewrite
   |> rewrite ~zero_gain:true |> balance |> refactor ~zero_gain:true
   |> rewrite ~zero_gain:true |> balance
 
-let light ?engine ?stats ?jobs aig = aig |> rewrite ?engine ?stats ?jobs |> balance
+let light ?stats ?jobs aig = aig |> rewrite ?stats ?jobs |> balance

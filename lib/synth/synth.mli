@@ -14,14 +14,12 @@
 
 val balance : Aig.t -> Aig.t
 
-(** The cut-based passes take the cut engine to enumerate candidate cones
-    with ({!Cut.Packed}, the default, reads each cone's function straight
-    out of the packed enumeration and keeps its per-node bookkeeping in
-    timestamp-stamped scratch arrays; {!Cut.Reference} is the legacy
-    per-cut cone-walk path kept for differential testing — both produce
-    identical results), and an optional [stats] record that accumulates the
-    engine's hot-path counters across the pass (and across every sub-pass
-    of the composed scripts).
+(** The cut-based passes read each priority cut's function straight out
+    of the packed enumeration ({!Cut.compute_packed}) and keep their
+    per-node bookkeeping in timestamp-stamped scratch arrays.  An
+    optional [stats] record accumulates the enumeration's hot-path
+    counters across the pass (and across every sub-pass of the composed
+    scripts).
 
     [jobs] (default 1) runs each pass's per-node candidate analysis — cut
     enumeration, cone functions, ISOP factoring, MFFC accounting — across
@@ -31,12 +29,7 @@ val balance : Aig.t -> Aig.t
     for every [jobs] value. *)
 
 val rewrite :
-  ?zero_gain:bool ->
-  ?engine:Cut.engine ->
-  ?stats:Cut.stats ->
-  ?jobs:int ->
-  Aig.t ->
-  Aig.t
+  ?zero_gain:bool -> ?stats:Cut.stats -> ?jobs:int -> Aig.t -> Aig.t
 (** Cut size 4; replaces a cone when the factored rebuild uses fewer nodes
     than the cone's MFFC ([zero_gain] accepts equal size, useful as a
     perturbation between other passes). *)
@@ -44,19 +37,16 @@ val rewrite :
 val refactor :
   ?zero_gain:bool ->
   ?cut_size:int ->
-  ?engine:Cut.engine ->
   ?stats:Cut.stats ->
   ?jobs:int ->
   Aig.t ->
   Aig.t
 (** Default cut size 10 (at most {!Tt.max_vars}); cut sizes above 6 use a
-    single greedy reconvergent cut per node, where the packed engine's
+    single greedy reconvergent cut per node, where the enumeration's
     incremental tables do not apply. *)
 
-val resyn2rs :
-  ?engine:Cut.engine -> ?stats:Cut.stats -> ?jobs:int -> Aig.t -> Aig.t
+val resyn2rs : ?stats:Cut.stats -> ?jobs:int -> Aig.t -> Aig.t
 (** rw; rf; b; rw; rw -z; b; rf -z; rw -z; b. *)
 
-val light :
-  ?engine:Cut.engine -> ?stats:Cut.stats -> ?jobs:int -> Aig.t -> Aig.t
+val light : ?stats:Cut.stats -> ?jobs:int -> Aig.t -> Aig.t
 (** rw; b — a cheap script for quick runs. *)

@@ -5,7 +5,6 @@ type params = {
   cut_size : int;
   area_passes : int;
   timing : bool;
-  engine : Cut.engine;
   cost : (Cell_lib.cell -> float) option;
   jobs : int;
   incremental : bool;
@@ -16,7 +15,6 @@ let default_params =
     cut_size = 6;
     area_passes = 3;
     timing = false;
-    engine = Cut.Packed;
     cost = None;
     jobs = 1;
     incremental = true;
@@ -208,36 +206,18 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
      used by the incremental pass-skipping dirty check. *)
   let climit = cut_limit in
   let t0 = now () in
-  (* Engine-generic candidate iterator, canonical order; [kf m s key sup
-     leaf_at]: m structural leaves ([leaf_at i]), support [sup] into
-     them, function [key] over the support. *)
-  let iter_cands =
-    match params.engine with
-    | Cut.Packed ->
-        let cs = Cut.compute_packed ~stats aig ~k ~limit:climit in
-        fun nd kf ->
-          for j = 0 to Cut.num_cuts cs nd - 1 do
-            let m = Cut.cut_nleaves cs nd j in
-            if not (m = 1 && Cut.cut_leaf cs nd j 0 = nd) then begin
-              let key, sup = Npn.shrink (Cut.cut_tt cs nd j) m in
-              kf m (Array.length sup) key sup (Cut.cut_leaf cs nd j)
-            end
-          done
-    | Cut.Reference ->
-        let cuts = Cut.compute aig ~k ~limit:climit in
-        fun nd kf ->
-          List.iter
-            (fun cut ->
-              let leaves = cut.Cut.leaves in
-              let m = Array.length leaves in
-              if not (m = 1 && leaves.(0) = nd) then begin
-                let tt = Aig.tt_of_cut aig (Aig.lit_of_node nd) leaves in
-                let small, sup = Tt.shrink_to_support tt in
-                let s = Tt.nvars small in
-                if s <= 6 then
-                  kf m s (Tt.words small).(0) sup (fun i -> leaves.(i))
-              end)
-            cuts.(nd)
+  (* Candidate iterator, canonical order; [kf m s key sup leaf_at]: m
+     structural leaves ([leaf_at i]), support [sup] into them, function
+     [key] over the support. *)
+  let cs = Cut.compute_packed ~stats aig ~k ~limit:climit in
+  let iter_cands nd kf =
+    for j = 0 to Cut.num_cuts cs nd - 1 do
+      let m = Cut.cut_nleaves cs nd j in
+      if not (m = 1 && Cut.cut_leaf cs nd j 0 = nd) then begin
+        let key, sup = Npn.shrink (Cut.cut_tt cs nd j) m in
+        kf m (Array.length sup) key sup (Cut.cut_leaf cs nd j)
+      end
+    done
   in
   (* Pass A (parallel): count candidates, leaf words and deduped support
      union per node; pass B (parallel) re-enumerates and fills the

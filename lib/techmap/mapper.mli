@@ -1,5 +1,6 @@
 (** Cut-based structural technology mapping (the algorithm family of ABC's
-    [map]): K-feasible priority cuts, Boolean matching by hash lookup in the
+    [map]): K-feasible priority cuts with their functions
+    ({!Cut.compute_packed}), Boolean matching by hash lookup in the
     NPN-expanded library tables, delay-optimal covering, and required-time
     driven area recovery.
 
@@ -20,11 +21,6 @@ type params = {
           library pin per AIG fanout, instead of the fixed unit-load FO4.
           Cells without characterization fall back to the fixed delay.
           Default [false] (the paper's convention). *)
-  engine : Cut.engine;
-      (** Cut enumeration engine.  Both produce identical netlists;
-          {!Cut.Packed} (the default) is the fast path, {!Cut.Reference}
-          re-walks each cut's cone and exists for differential testing and
-          benchmarking. *)
   cost : (Cell_lib.cell -> float) option;
       (** Pluggable covering cost (the opening move of the ROADMAP's
           cost-generic mapping refactor).  When set, this function replaces
@@ -81,8 +77,7 @@ val map : ?params:params -> Cell_lib.t -> Aig.t -> Mapped.t
 
 val map_with_stats :
   ?params:params -> ?phase:phase_ms -> Cell_lib.t -> Aig.t -> Mapped.t * Cut.stats
-(** Same as {!map}, also returning the cut-engine counters of the run
-    (enumeration counters are only filled by the packed engine;
-    [probes] — match-table lookups — and the [reevals] /
-    [reeval_skips] pair are counted under both).  [phase] receives the
+(** Same as {!map}, also returning the cut-enumeration counters of the
+    run, with [probes] (match-table lookups) and the [reevals] /
+    [reeval_skips] pair filled in by the mapper.  [phase] receives the
     run's wall-clock breakdown (added into the record). *)

@@ -182,16 +182,15 @@ let test_cuts_basic () =
   let a = Aig.add_input g and b = Aig.add_input g and c = Aig.add_input g in
   let s, _ = full_adder g a b c in
   Aig.add_output g "s" s;
-  let cuts = Cut.compute g ~k:4 ~limit:8 in
+  let cuts = Cut.compute_packed g ~k:4 ~limit:8 in
   let root = Aig.node_of s in
-  let cs = cuts.(root) in
+  let cs = List.init (Cut.num_cuts cuts root) (Cut.cut_leaves cuts root) in
   Alcotest.(check bool) "has cuts" true (List.length cs >= 2);
   (* the trivial cut is present *)
-  Alcotest.(check bool) "trivial present" true
-    (List.exists (fun cut -> cut.Cut.leaves = [| root |]) cs);
+  Alcotest.(check bool) "trivial present" true (List.mem [| root |] cs);
   (* the PI cut {1,2,3} is present and its function is xor3 *)
-  let pi_cut = List.find (fun cut -> cut.Cut.leaves = [| 1; 2; 3 |]) cs in
-  let tt = Aig.tt_of_cut g (Aig.lit_of_node root) pi_cut.Cut.leaves in
+  Alcotest.(check bool) "pi cut present" true (List.mem [| 1; 2; 3 |] cs);
+  let tt = Aig.tt_of_cut g (Aig.lit_of_node root) [| 1; 2; 3 |] in
   let x3 = Tt.bxor (Tt.bxor (Tt.var 3 0) (Tt.var 3 1)) (Tt.var 3 2) in
   Alcotest.(check bool) "pi cut computes xor3" true
     (Tt.equal tt x3 || Tt.equal tt (Tt.bnot x3))
@@ -200,24 +199,23 @@ let test_cuts_are_cuts () =
   (* every enumerated cut supports truth-table computation (i.e. really cuts
      the cone) on a random-ish structure *)
   let g = build_adder 4 in
-  let cuts = Cut.compute g ~k:5 ~limit:10 in
+  let cuts = Cut.compute_packed g ~k:5 ~limit:10 in
   Aig.iter_ands g (fun n ->
-      List.iter
-        (fun cut ->
-          ignore (Aig.tt_of_cut g (Aig.lit_of_node n) cut.Cut.leaves))
-        cuts.(n));
+      for j = 0 to Cut.num_cuts cuts n - 1 do
+        ignore (Aig.tt_of_cut g (Aig.lit_of_node n) (Cut.cut_leaves cuts n j))
+      done);
   Alcotest.(check pass) "all cuts valid" () ()
 
 let test_cut_dominance () =
-  let a = Cut.trivial 5 in
-  Alcotest.(check bool) "trivial self-dominates" true (Cut.dominates a a)
+  let a = Cut_ref.trivial 5 in
+  Alcotest.(check bool) "trivial self-dominates" true (Cut_ref.dominates a a)
 
 let test_cut_limit () =
   let g = build_adder 8 in
   let limit = 6 in
-  let cuts = Cut.compute g ~k:4 ~limit in
+  let cuts = Cut.compute_packed g ~k:4 ~limit in
   Aig.iter_ands g (fun n ->
-      if List.length cuts.(n) > limit then Alcotest.fail "limit exceeded");
+      if Cut.num_cuts cuts n > limit then Alcotest.fail "limit exceeded");
   Alcotest.(check pass) "cut limit respected" () ()
 
 (* ---- Par fork-join ---- *)

@@ -1,6 +1,8 @@
-(* Tests for the packed cut engine: equivalence with the reference engine,
-   incremental truth tables vs. cone walks, dominance invariants, and the
-   word-level support shrink / cached canonicalization it builds on. *)
+(* Tests for the packed cut engine: equivalence with the seed list
+   enumerator ([Cut_ref]), incremental truth tables vs. cone walks,
+   dominance invariants, synthesis against the seed refactor sweep
+   ([Synth_ref]), and the word-level support shrink / cached
+   canonicalization it builds on. *)
 
 let small_suite = [ "add-16"; "t481"; "C1355"; "C1908" ]
 
@@ -11,16 +13,26 @@ let build_synth name = Synth.light (build name)
 
 let configs = [ (4, 8); (6, 8); (6, 12) ]
 
-(* The first node (if any) whose packed cut set differs from the
-   reference engine's, in count or in any cut's leaves. *)
+(* Every circuit at the mapper's (6,12), the small suite at every
+   configuration in [configs]. *)
+let cases =
+  List.map (fun name -> (name, configs)) small_suite
+  @ List.filter_map
+      (fun (e : Bench_suite.entry) ->
+        if List.mem e.Bench_suite.name small_suite then None
+        else Some (e.Bench_suite.name, [ (6, 12) ]))
+      Bench_suite.all
+
+(* The first node (if any) whose packed cut set differs from the seed
+   list enumerator's, in count or in any cut's leaves. *)
 let first_mismatch aig ~k ~limit =
-  let ref_cuts = Cut.compute aig ~k ~limit in
+  let ref_cuts = Cut_ref.compute aig ~k ~limit in
   let s = Cut.compute_packed aig ~k ~limit in
   let differs nd =
     let rl = ref_cuts.(nd) in
     List.length rl <> Cut.num_cuts s nd
     || List.exists Fun.id
-         (List.mapi (fun j c -> c.Cut.leaves <> Cut.cut_leaves s nd j) rl)
+         (List.mapi (fun j c -> c.Cut_ref.leaves <> Cut.cut_leaves s nd j) rl)
   in
   let rec go nd =
     if nd >= Aig.num_nodes aig then None
@@ -30,19 +42,21 @@ let first_mismatch aig ~k ~limit =
   in
   go 0
 
-(* (a) / tentpole: the packed engine produces the same cut sets, in the
-   same order, as the reference engine. *)
+(* The packed engine produces the same cut sets, in the same order, as
+   the seed list enumerator.  C6288 and des have nodes that overflow the
+   12-entry bounded scratch. *)
 let test_sets_equal () =
   List.iter
-    (fun name ->
+    (fun (name, configs) ->
       let aig = build_synth name in
       List.iter
         (fun (k, limit) ->
           match first_mismatch aig ~k ~limit with
           | None -> ()
-          | Some nd -> Alcotest.failf "%s k%d: node %d differs" name k nd)
+          | Some nd ->
+              Alcotest.failf "%s k%d limit%d: node %d differs" name k limit nd)
         configs)
-    small_suite
+    cases
 
 (* A 4-input graph whose node 17 overflows the 12-entry bounded scratch
    in a way the prefix certificate rejects: plain priority-cut truncation
@@ -111,11 +125,11 @@ let prop_random_reconvergent =
         (fun (k, limit) -> first_mismatch aig ~k ~limit = None)
         [ (6, 12); (4, 8); (6, 3); (3, 2) ])
 
-(* (a) every incrementally-computed cut tt equals [Aig.tt_of_cut] on the
+(* Every incrementally-computed cut tt equals [Aig.tt_of_cut] on the
    same leaves. *)
 let test_tts_equal () =
   List.iter
-    (fun name ->
+    (fun (name, configs) ->
       let aig = build_synth name in
       List.iter
         (fun (k, limit) ->
@@ -130,10 +144,11 @@ let test_tts_equal () =
                   Tt.of_bits (Array.length leaves) (Cut.cut_tt s nd j)
                 in
                 if not (Tt.equal want got) then
-                  Alcotest.failf "%s k%d nd%d cut%d: tt mismatch" name k nd j
+                  Alcotest.failf "%s k%d limit%d nd%d cut%d: tt mismatch"
+                    name k limit nd j
               done))
         configs)
-    small_suite
+    cases
 
 (* (b) no cut in a node's final set dominates another (the trivial cut,
    always last, is exempt by construction: the enumeration never filters
@@ -209,55 +224,39 @@ let test_npn_shrink () =
     Alcotest.(check int64) "shrunk word" (Tt.words small).(0) w
   done
 
-(* Packed-engine synthesis is result-identical to the reference engine,
-   across both refactor branches (priority cuts at k <= 6, greedy-only at
-   k = 10) and the composed script. *)
+(* Synthesis is result-identical to the seed refactor sweep, across both
+   refactor branches (priority cuts at k <= 6, greedy-only at k = 10) and
+   the composed script. *)
+let check_refactor_equal passes name =
+  let aig = build name in
+  List.iter
+    (fun (label, f, f_ref) ->
+      if Blif.to_string (f aig) <> Blif.to_string (f_ref aig) then
+        Alcotest.failf "%s: %s output differs" name label)
+    passes
+
+let resyn2rs_pass =
+  ("resyn2rs", (fun a -> Synth.resyn2rs a), Synth_ref.resyn2rs)
+
 let test_refactor_equal () =
   List.iter
-    (fun name ->
-      let aig = build name in
-      let check label f =
-        let p = Blif.to_string (f ~engine:Cut.Packed aig) in
-        let r = Blif.to_string (f ~engine:Cut.Reference aig) in
-        if p <> r then Alcotest.failf "%s: %s output differs" name label
-      in
-      check "rewrite" (fun ~engine a -> Synth.rewrite ~engine a);
-      check "refactor(k=10)" (fun ~engine a -> Synth.refactor ~engine a);
-      check "refactor(k=6)" (fun ~engine a ->
-          Synth.refactor ~cut_size:6 ~engine a);
-      check "resyn2rs" (fun ~engine a -> Synth.resyn2rs ~engine a))
+    (check_refactor_equal
+       [
+         ("rewrite", (fun a -> Synth.rewrite a), fun a -> Synth_ref.rewrite a);
+         ( "refactor(k=10)",
+           (fun a -> Synth.refactor a),
+           fun a -> Synth_ref.refactor a );
+         ( "refactor(k=6)",
+           (fun a -> Synth.refactor ~cut_size:6 a),
+           fun a -> Synth_ref.refactor ~cut_size:6 a );
+         resyn2rs_pass;
+       ])
     small_suite
 
-(* (c) the packed-engine mapper output is identical to the reference
-   (seed) engine's on the full benchmark suite x all five families. *)
-let test_mapper_identity () =
-  let libs =
-    [
-      Cell_lib.cached Cell_netlist.Tg_static;
-      Cell_lib.cached Cell_netlist.Tg_pseudo;
-      Cell_lib.cached Cell_netlist.Pass_pseudo;
-      Cell_lib.cached Cell_netlist.Pass_static;
-      Cell_lib.cmos ();
-    ]
-  in
-  List.iter
-    (fun (e : Bench_suite.entry) ->
-      let aig = Synth.light (e.Bench_suite.build ()) in
-      List.iter
-        (fun lib ->
-          let pp =
-            { Mapper.default_params with Mapper.engine = Cut.Packed }
-          in
-          let pr =
-            { Mapper.default_params with Mapper.engine = Cut.Reference }
-          in
-          let mp = Mapper.map ~params:pp lib aig in
-          let mr = Mapper.map ~params:pr lib aig in
-          if mp <> mr then
-            Alcotest.failf "%s / %s: mapped netlists differ"
-              e.Bench_suite.name (Cell_lib.name lib))
-        libs)
-    Bench_suite.all
+(* The script on the two suite circuits whose nodes overflow the
+   12-entry bounded cut scratch. *)
+let test_refactor_equal_large () =
+  List.iter (check_refactor_equal [ resyn2rs_pass ]) [ "C6288"; "des" ]
 
 (* canonical_cached agrees with canonical (fresh and cached lookups). *)
 let test_canonical_cached () =
@@ -287,8 +286,8 @@ let () =
             prop_random_reconvergent;
           Alcotest.test_case "refactor identical across engines" `Quick
             test_refactor_equal;
-          Alcotest.test_case "mapper identical across engines (full suite)"
-            `Slow test_mapper_identity;
+          Alcotest.test_case "resyn2rs identical across engines (C6288, des)"
+            `Slow test_refactor_equal_large;
         ] );
       ( "foundations",
         [

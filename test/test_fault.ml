@@ -201,48 +201,52 @@ let test_atpg_bookkeeping () =
   Alcotest.(check bool) "testable coverage >= coverage" true
     (Gate_fault.testable_coverage s >= cov -. 1e-9)
 
-(* The incremental ATPG engine (one miter, assumption queries) must agree
-   with the rebuild engine (a fresh CEC miter per fault) on every decided
-   verdict: a fault detected by one and proved redundant by the other
-   would be a soundness bug.  Unknown is only possible under a conflict
-   budget, which this test doesn't set, so the statuses must classify
-   identically (counterexample bits may differ — the engines search
-   differently). *)
+(* The incremental ATPG sweep (one miter, assumption queries) must agree
+   with a fresh CEC miter per fault, the per-fault rebuild it replaced:
+   every survivor it decides is decided again by [Cec.check] between the
+   netlist and its injected copy.  A fault proved redundant must be
+   Equivalent, a detected one Inequivalent (counterexample bits may
+   differ — the solvers search differently).  Unknown is only possible
+   under a conflict budget, which this test doesn't set.  One random
+   round detects every add-16 fault, so there the sweep decides them
+   all. *)
 let test_atpg_engines_agree () =
   List.iter
-    (fun name ->
+    (fun (name, rounds) ->
       let m = mapped_of name in
-      let ri, si =
-        Gate_fault.analyze ~rounds:1 ~seed:3L ~atpg:Gate_fault.Incremental m
-      in
-      let rr, sr =
-        Gate_fault.analyze ~rounds:1 ~seed:3L ~atpg:Gate_fault.Rebuild m
-      in
+      let results, s = Gate_fault.analyze ~rounds ~seed:3L m in
       Alcotest.(check bool)
         (name ^ ": atpg stage exercised")
         true
-        (si.Gate_fault.g_atpg > 0);
-      Alcotest.(check int)
-        (name ^ ": redundant counts equal")
-        sr.Gate_fault.g_redundant si.Gate_fault.g_redundant;
-      Alcotest.(check int) (name ^ ": no unknowns") 0 si.Gate_fault.g_unknown;
-      Array.iteri
-        (fun k (a : Gate_fault.result) ->
-          let b = rr.(k) in
-          let cls (r : Gate_fault.result) =
-            match r.Gate_fault.status with
-            | Gate_fault.Detected_sim -> "sim"
-            | Gate_fault.Detected_atpg _ -> "atpg"
-            | Gate_fault.Redundant -> "redundant"
-            | Gate_fault.Unknown -> "unknown"
+        (s.Gate_fault.g_atpg > 0);
+      Alcotest.(check int) (name ^ ": no unknowns") 0 s.Gate_fault.g_unknown;
+      let good = Mapped.to_aig m in
+      Array.iter
+        (fun (r : Gate_fault.result) ->
+          let rebuild () =
+            Cec.check good
+              (Mapped.to_aig (Gate_fault.inject m r.Gate_fault.fault))
           in
-          if cls a <> cls b then
-            Alcotest.failf "%s: %s classified %s (incremental) vs %s (rebuild)"
-              name
-              (Gate_fault.describe m a.Gate_fault.fault)
-              (cls a) (cls b))
-        ri)
-    [ "t481"; "C1908" ]
+          let fail sweep cec =
+            Alcotest.failf "%s: %s is %s by the sweep but %s by CEC" name
+              (Gate_fault.describe m r.Gate_fault.fault)
+              sweep cec
+          in
+          match r.Gate_fault.status with
+          | Gate_fault.Detected_sim -> ()
+          | Gate_fault.Redundant -> (
+              match rebuild () with
+              | Cec.Equivalent -> ()
+              | Cec.Inequivalent _ -> fail "redundant" "inequivalent"
+              | Cec.Undecided -> fail "redundant" "undecided")
+          | Gate_fault.Detected_atpg _ -> (
+              match rebuild () with
+              | Cec.Inequivalent _ -> ()
+              | Cec.Equivalent -> fail "detected" "equivalent"
+              | Cec.Undecided -> fail "detected" "undecided")
+          | Gate_fault.Unknown -> fail "unknown" "not asked")
+        results)
+    [ ("add-16", 0); ("t481", 1); ("C1908", 1) ]
 
 (* ---- static testability ---- *)
 

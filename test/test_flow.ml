@@ -38,9 +38,8 @@ let test_parse_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unbalanced parens accepted"
 
-(* the flow runs one engine per job: the oracle implementations stay
-   reachable from the library (test_cut, test_sat, test_fault) but no
-   script can select them *)
+(* the flow runs one engine per job: the oracles live in the tests
+   (test_cut, test_sat, test_fault), and no script argument names one *)
 let test_oracle_selectors_rejected () =
   List.iter
     (fun script ->
@@ -193,6 +192,10 @@ let test_argument_ranges () =
       ("map; sta(po=x)", "po");
       ("map; verify(seed=1.5)", "seed");
       ("map; cec(budget=0)", "budget");
+      ("map; verify(rounds=0)", "rounds");
+      ("map; fault(budget=0)", "budget");
+      ("map; fault(rounds=-1)", "rounds");
+      ("map; sta(po=-3)", "po");
       ("map(family=nmos)", "nmos");
       ("map(timing=yes)", "timing");
       ("map; lint(tag)", "tag");
@@ -200,10 +203,17 @@ let test_argument_ranges () =
   (* the boundary values themselves are in range *)
   let ctx, _ =
     Flow.run
-      (Flow.parse_script_exn "map(cut=2)")
+      (Flow.parse_script_exn
+         "map(cut=2); sta(po=0); verify(rounds=1); fault(rounds=0,budget=1)")
       (Flow.init ~name:"a8" (adder ()))
   in
-  Alcotest.(check bool) "in-range values map" true (ctx.Flow.mapped <> None)
+  Alcotest.(check bool) "in-range values map" true (ctx.Flow.mapped <> None);
+  Alcotest.(check (option bool)) "one verify round" (Some true)
+    ctx.Flow.verified;
+  Alcotest.(check bool) "no-round fault analysis" true
+    (match ctx.Flow.fault with
+    | Some s -> s.Gate_fault.g_rounds = 0 && s.Gate_fault.g_sim = 0
+    | None -> false)
 
 let test_pass_ordering_errors () =
   (match Flow.run (Flow.parse_script_exn "sta") (Flow.init ~name:"x" (adder ())) with

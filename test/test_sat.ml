@@ -178,30 +178,30 @@ let test_cec_inequivalent () =
       Alcotest.(check bool) "cex distinguishes" true (oa <> ob)
   | _ -> Alcotest.fail "expected inequivalence")
 
-(* ---- Differential tests: CDCL engine vs the seed solver ---- *)
+(* ---- Differential tests: CDCL vs brute force ---- *)
 
-(* Random clause list: [nvars] variables, mixed clause widths so unit
-   propagation, binary implication and full search all get exercised. *)
-let random_clauses nvars nclauses =
+(* Random clause list: [nvars] variables, clause widths drawn uniformly
+   from [min_width..max_width]. *)
+let random_clauses ~min_width ~max_width nvars nclauses =
   List.init nclauses (fun _ ->
-      let width = 1 + Rand64.int rng 3 in
+      let width = min_width + Rand64.int rng (max_width - min_width + 1) in
       List.init width (fun _ ->
           let v = Rand64.int rng nvars in
           if Rand64.bool rng then Solver.pos v else Solver.neg v))
 
-let run_engine (module E : Solver.CORE) nvars clauses assumptions =
-  let s = E.create () in
+let solve nvars clauses assumptions =
+  let s = Solver.create () in
   for _ = 1 to nvars do
-    ignore (E.new_var s)
+    ignore (Solver.new_var s)
   done;
-  List.iter (E.add_clause s) clauses;
-  let r = E.solve ~assumptions s in
+  List.iter (Solver.add_clause s) clauses;
+  let r = Solver.solve ~assumptions s in
   let model =
     match r with
-    | Solver.Sat -> Some (Array.init nvars (E.model_value s))
+    | Solver.Sat -> Some (Array.init nvars (Solver.model_value s))
     | _ -> None
   in
-  let core = match r with Solver.Unsat -> E.unsat_core s | _ -> [] in
+  let core = match r with Solver.Unsat -> Solver.unsat_core s | _ -> [] in
   (r, model, core)
 
 let model_satisfies model clauses =
@@ -210,27 +210,62 @@ let model_satisfies model clauses =
          model.(Solver.lit_var l) = Solver.lit_sign l))
     clauses
 
+let units lits = List.map (fun l -> [ l ]) lits
+
+(* A property whose cases each land in one of the named outcomes; after
+   the property passes, each outcome must make up at least 20% of the
+   cases, so a generator that drifts into one outcome (say, instances
+   that are all unsat from their unit clauses) fails instead of checking
+   nothing. *)
+let with_outcome_shares prop outcomes =
+  let count = QCheck2.Test.test_get_count prop in
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      List.iter (fun (_, n) -> n := 0) outcomes;
+      run ();
+      List.iter
+        (fun (label, n) ->
+          if 5 * !n < count then
+            Alcotest.failf "%s: %d of %d cases, under 20%%" label !n count)
+        outcomes )
+
+let differential_sat = ref 0
+let differential_unsat = ref 0
+
 let prop_differential =
   QCheck.Test.make ~name:"cdcl vs reference on random cnf" ~count:200
     (QCheck.make QCheck.Gen.(int_range 4 20))
     (fun nvars ->
-      let clauses = random_clauses nvars (4 * nvars) in
-      let r1, m1, _ = run_engine (module Solver) nvars clauses [] in
-      let r2, m2, _ = run_engine (module Solver.Reference) nvars clauses [] in
-      r1 = r2
-      && (match m1 with None -> true | Some m -> model_satisfies m clauses)
-      && match m2 with None -> true | Some m -> model_satisfies m clauses)
+      let clauses =
+        random_clauses ~min_width:2 ~max_width:3 nvars (5 * nvars / 2)
+      in
+      let expect = brute_force nvars clauses in
+      match solve nvars clauses [] with
+      | Solver.Sat, Some m, _ ->
+          incr differential_sat;
+          expect && model_satisfies m clauses
+      | Solver.Unsat, _, _ ->
+          incr differential_unsat;
+          not expect
+      | _ -> false)
+
+let assumptions_sat = ref 0
+let assumptions_core = ref 0
 
 let prop_assumptions =
-  (* Incremental solving under assumptions must agree with the reference
-     engine, whose [solve ~assumptions] rebuilds a monolithic problem with
-     the assumptions as unit clauses — the definition of correctness for
-     the assumption interface.  On Unsat, the core must be a subset of the
-     assumptions whose units alone already make the problem unsat. *)
+  (* Incremental solving under assumptions must agree with brute force
+     over the clauses plus the assumptions as unit clauses — the
+     monolithic definition of the assumption interface.  On Unsat, the
+     core must be a subset of the assumptions whose units alone already
+     make the clauses unsat. *)
   QCheck.Test.make ~name:"assumptions: incremental = monolithic" ~count:200
     (QCheck.make QCheck.Gen.(int_range 4 16))
     (fun nvars ->
-      let clauses = random_clauses nvars (3 * nvars) in
+      let clauses =
+        random_clauses ~min_width:3 ~max_width:3 nvars (3 * nvars)
+      in
       let assumptions =
         List.init
           (1 + Rand64.int rng (nvars / 2))
@@ -238,32 +273,21 @@ let prop_assumptions =
             let v = Rand64.int rng nvars in
             if Rand64.bool rng then Solver.pos v else Solver.neg v)
       in
-      let r1, m1, core = run_engine (module Solver) nvars clauses assumptions in
-      let r2, _, _ =
-        run_engine (module Solver.Reference) nvars clauses assumptions
-      in
-      r1 = r2
-      && (match m1 with
-         | None -> true
-         | Some m ->
-             model_satisfies m clauses
-             && List.for_all
-                  (fun l -> m.(Solver.lit_var l) = Solver.lit_sign l)
-                  assumptions)
-      && (r1 <> Solver.Unsat
-         ||
-         (* core soundness: core ⊆ assumptions, and clauses + core units
-            is unsat on its own (checked with the other engine) *)
-         List.for_all (fun l -> List.mem l assumptions) core
-         &&
-         let r3, _, _ =
-           run_engine
-             (module Solver.Reference)
-             nvars
-             (clauses @ List.map (fun l -> [ l ]) core)
-             []
-         in
-         r3 = Solver.Unsat))
+      let expect = brute_force nvars (clauses @ units assumptions) in
+      match solve nvars clauses assumptions with
+      | Solver.Sat, Some m, _ ->
+          incr assumptions_sat;
+          expect
+          && model_satisfies m clauses
+          && List.for_all
+               (fun l -> m.(Solver.lit_var l) = Solver.lit_sign l)
+               assumptions
+      | Solver.Unsat, _, core ->
+          if core <> [] then incr assumptions_core;
+          (not expect)
+          && List.for_all (fun l -> List.mem l assumptions) core
+          && not (brute_force nvars (clauses @ units core))
+      | _ -> false)
 
 let test_assumptions_reusable () =
   (* One solver, many assumption queries: later queries must not be
@@ -296,7 +320,11 @@ let test_dimacs_roundtrip () =
   for _ = 1 to 20 do
     let nvars = 2 + Rand64.int rng 10 in
     let fm =
-      { Cnf.fm_vars = nvars; Cnf.fm_clauses = random_clauses nvars (2 * nvars) }
+      {
+        Cnf.fm_vars = nvars;
+        Cnf.fm_clauses =
+          random_clauses ~min_width:1 ~max_width:3 nvars (2 * nvars);
+      }
     in
     match Cnf.of_dimacs (Cnf.to_dimacs fm) with
     | Ok fm' ->
@@ -321,14 +349,6 @@ let test_dimacs_comments_and_trailer () =
       Alcotest.(check int) "vars" 3 fm.Cnf.fm_vars;
       Alcotest.(check int) "clauses" 2 (List.length fm.Cnf.fm_clauses)
   | Error e -> Alcotest.fail e
-
-let test_cec_engines_agree () =
-  let a = build_adder_variant `Xor 8 in
-  let b = build_adder_variant `Mux 8 in
-  let va = Cec.check ~engine:Cec.Cdcl a b in
-  let vb = Cec.check ~engine:Cec.Reference a b in
-  Alcotest.(check bool) "both equivalent" true
-    (va = Cec.Equivalent && vb = Cec.Equivalent)
 
 let test_cec_budget_exception () =
   let a = build_adder_variant `Xor 10 in
@@ -373,8 +393,13 @@ let () =
         ] );
       ( "differential",
         [
-          qt prop_differential;
-          qt prop_assumptions;
+          with_outcome_shares prop_differential
+            [ ("sat", differential_sat); ("unsat", differential_unsat) ];
+          with_outcome_shares prop_assumptions
+            [
+              ("sat", assumptions_sat);
+              ("unsat with a non-empty core", assumptions_core);
+            ];
           Alcotest.test_case "assumptions reusable" `Quick
             test_assumptions_reusable;
           Alcotest.test_case "assumption vs unit" `Quick
@@ -392,7 +417,6 @@ let () =
           Alcotest.test_case "encode" `Quick test_cnf_encode;
           Alcotest.test_case "equivalent adders" `Quick test_cec_equivalent;
           Alcotest.test_case "inequivalent" `Quick test_cec_inequivalent;
-          Alcotest.test_case "engines agree" `Quick test_cec_engines_agree;
           Alcotest.test_case "budget exception" `Quick
             test_cec_budget_exception;
           Alcotest.test_case "sim filter" `Quick test_cec_sim_filter;

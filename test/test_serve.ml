@@ -429,6 +429,12 @@ let test_param_ranges () =
       ("typo", "cut-size", raw ~id:"typo" {|{"cut-size":9,"timng":true}|});
       ("stale", "timing", raw ~id:"stale" {|{"seed":7,"timing":true}|});
       ("mistyped", "seed", raw ~id:"mistyped" {|{"seed":"7"}|});
+      ( "budget0",
+        "conflict_budget",
+        raw ~id:"budget0" {|{"conflict_budget":0}|} );
+      ( "budget-7",
+        "conflict_budget",
+        raw ~id:"budget-7" {|{"conflict_budget":-7}|} );
     ];
   (* the two params keys that remain are accepted, and the daemon and the
      connection are fine afterwards *)
