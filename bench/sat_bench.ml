@@ -1,13 +1,17 @@
 (* SAT benchmark: times the two SAT workloads the flow runs — the
-   monolithic CEC miter (golden AIG vs its re-expanded mapping) and the
-   fault-ATPG sweep (one miter, an assumption query per surviving fault)
-   — and writes wall times and solver counters to BENCH_sat.json.
+   sweeping CEC (golden AIG vs its re-expanded mapping) and the fault-ATPG
+   sweep (one miter, an assumption query per surviving fault) — and
+   writes wall times and solver counters to BENCH_sat.json.
 
    Each (benchmark, task) measurement runs in a forked child process:
    solver instances keep arenas and learnt databases on the major heap,
    and one measurement's leftovers would tax the next.  The child
    synthesizes and maps the benchmark before the timed region, which
-   holds the SAT task alone.  The solver's differential tests live in
+   holds the SAT task alone.  Two rounds of random fault simulation run
+   before the ATPG sweep; on a circuit where they detect every fault (the
+   adders), the row is measured again with none, so every row times SAT
+   work.  Each row records the median wall time of its repeats with the
+   min and max beside it.  The solver's differential tests live in
    test/test_sat.ml and test/test_fault.ml.
 
      dune exec bench/sat_bench.exe                    (fast subset, static)
@@ -36,7 +40,8 @@ let specs =
       "FILE output JSON path (default BENCH_sat.json)" );
     ( "--repeat",
       Arg.Set_int repeat,
-      "N timing repetitions, best-of-N (default 3)" );
+      "N timing repetitions; rows record their min, median and max \
+       (default 3)" );
     ( "--family",
       Arg.Set_string family,
       "F mapping target family (default static)" );
@@ -45,18 +50,20 @@ let specs =
       " run every family (the full benchmark x family matrix)" );
     ( "--rounds",
       Arg.Set_int rounds,
-      "N random fault-sim rounds before ATPG (default 2, few so the SAT \
-       sweep has survivors to decide)" );
+      "N random fault-sim rounds before ATPG (default 2); a row where \
+       they detect every fault runs none, so every fault reaches the SAT \
+       sweep" );
     ( "--cec-only",
       Arg.Set cec_only,
       " skip the ATPG measurement" );
     ( "--conflict-budget",
       Arg.Set_int budget,
-      "N cap every solve at N conflicts (default unbounded)" );
+      "N cap each ATPG fault query and each CEC check at N conflicts \
+       (default unbounded)" );
   ]
 
 type measurement = {
-  ms : float;
+  ms : float array;  (** every repeat's wall time, ascending *)
   st : Solver.stats;
   payload : string;
       (** CEC: the verdict word; ATPG: one status char per fault
@@ -67,6 +74,8 @@ type row = {
   bench : string;
   fam : string;
   faults : int;
+  rounds : int;  (** fault-simulation rounds before the ATPG sweep *)
+  survivors : int;  (** faults left to the ATPG sweep *)
   cec : measurement;
   atpg : measurement;
 }
@@ -98,31 +107,32 @@ let in_child f =
           Printf.eprintf "%s: child measurement failed\n" prog;
           exit 2)
 
-(* Best-of-[n] wall time around [task], which fills a fresh stats record
-   and returns the payload string; [prepare] runs once, untimed, and
-   hands [task] its input.  Counters come from the last run (the
-   workloads are deterministic, so every run counts the same). *)
+(* [n] timed runs of [task], which fills a fresh stats record and returns
+   the payload string; [prepare] runs once, untimed, and hands [task] its
+   input.  Counters come from the last run (the workloads are
+   deterministic, so every run counts the same). *)
 let measure n prepare task =
   let line =
     in_child (fun () ->
         let input = prepare () in
-        let best = ref infinity and last = ref None in
+        let times = ref [] and last = ref None in
         for _ = 1 to n do
           let stats = Solver.stats_create () in
           let t0 = Unix.gettimeofday () in
           let payload = task input stats in
-          let dt = Unix.gettimeofday () -. t0 in
-          if dt < !best then best := dt;
+          times := (1000.0 *. (Unix.gettimeofday () -. t0)) :: !times;
           last := Some (stats, payload)
         done;
         let st, payload = Option.get !last in
-        Printf.sprintf "%.6f %d %d %d %d %d %d %s" (1000.0 *. !best)
+        Printf.sprintf "%s %d %d %d %d %d %d %s"
+          (String.concat "," (List.map (Printf.sprintf "%.6f") !times))
           st.Solver.sat_solves st.Solver.sat_conflicts st.Solver.sat_decisions
           st.Solver.sat_propagations st.Solver.sat_restarts
           st.Solver.sat_learned payload)
   in
-  Scanf.sscanf line "%f %d %d %d %d %d %d %s"
-    (fun ms solves conflicts decisions propagations restarts learned payload ->
+  Scanf.sscanf line "%s %d %d %d %d %d %d %s"
+    (fun times solves conflicts decisions propagations restarts learned
+         payload ->
       let st = Solver.stats_create () in
       st.Solver.sat_solves <- solves;
       st.Solver.sat_conflicts <- conflicts;
@@ -130,7 +140,14 @@ let measure n prepare task =
       st.Solver.sat_propagations <- propagations;
       st.Solver.sat_restarts <- restarts;
       st.Solver.sat_learned <- learned;
+      let ms =
+        String.split_on_char ',' times
+        |> List.map float_of_string |> Array.of_list
+      in
+      Array.sort compare ms;
       { ms; st; payload })
+
+let median m = m.ms.(Array.length m.ms / 2)
 
 let verdict_word = function
   | Cec.Equivalent -> "equivalent"
@@ -143,8 +160,7 @@ let status_char = function
   | Gate_fault.Redundant -> 'R'
   | Gate_fault.Unknown -> 'U'
 
-let count_unknown s =
-  String.fold_left (fun n c -> if c = 'U' then n + 1 else n) 0 s
+let count c s = String.fold_left (fun n x -> if x = c then n + 1 else n) 0 s
 
 let run_bench lib fam_name (e : Bench_suite.entry) =
   let build () =
@@ -156,31 +172,41 @@ let run_bench lib fam_name (e : Bench_suite.entry) =
     verdict_word
       (Cec.check ?conflict_budget:cb ~stats opt (Mapped.to_aig m))
   in
-  let atpg (_, m) stats =
-    let results, _ =
-      Gate_fault.analyze ~rounds:!rounds ~seed:2026L ?conflict_budget:cb
-        ~stats m
-    in
-    String.init (Array.length results) (fun i ->
-        status_char results.(i).Gate_fault.status)
+  let atpg rounds =
+    measure !repeat build (fun (_, m) stats ->
+        let results, _ =
+          Gate_fault.analyze ~rounds ~seed:2026L ?conflict_budget:cb ~stats m
+        in
+        String.init (Array.length results) (fun i ->
+            status_char results.(i).Gate_fault.status))
   in
-  let atpg =
-    if !cec_only then { ms = 0.0; st = Solver.stats_create (); payload = "" }
-    else measure !repeat build atpg
+  let survivors m = String.length m.payload - count 'S' m.payload in
+  (* where the rounds detect every fault, the sweep gets all of them *)
+  let rounds, atpg =
+    if !cec_only then
+      (!rounds, { ms = [| 0.0 |]; st = Solver.stats_create (); payload = "" })
+    else
+      let m = atpg !rounds in
+      if survivors m = 0 && !rounds > 0 then (0, atpg 0) else (!rounds, m)
   in
   {
     bench = e.Bench_suite.name;
     fam = fam_name;
     faults = String.length atpg.payload;
+    rounds;
+    survivors = survivors atpg;
     cec = measure !repeat build cec;
     atpg;
   }
 
 let json_measurement b m =
   Printf.bprintf b
-    "{\"ms\": %.3f, \"solves\": %d, \"conflicts\": %d, \"decisions\": %d, \
-     \"propagations\": %d, \"restarts\": %d, \"learned\": %d}"
-    m.ms m.st.Solver.sat_solves m.st.Solver.sat_conflicts
+    "{\"ms\": %.3f, \"min_ms\": %.3f, \"max_ms\": %.3f, \"solves\": %d, \
+     \"conflicts\": %d, \"decisions\": %d, \"propagations\": %d, \
+     \"restarts\": %d, \"learned\": %d}"
+    (median m) m.ms.(0)
+    m.ms.(Array.length m.ms - 1)
+    m.st.Solver.sat_solves m.st.Solver.sat_conflicts
     m.st.Solver.sat_decisions m.st.Solver.sat_propagations
     m.st.Solver.sat_restarts m.st.Solver.sat_learned
 
@@ -201,6 +227,7 @@ let () =
     else if !full then Bench_suite.all
     else Cli_common.bench_entries ~prog Cli_common.fast_subset
   in
+  let nproc = Cli_common.nproc () in
   let rows =
     List.concat_map
       (fun fam ->
@@ -211,35 +238,40 @@ let () =
           (fun (e : Bench_suite.entry) ->
             let row = run_bench lib fam_name e in
             Printf.printf
-              "%-10s %-12s cec %s %8.2fms | atpg %8.2fms unk=%d\n%!" row.bench
-              row.fam row.cec.payload row.cec.ms row.atpg.ms
-              (count_unknown row.atpg.payload);
+              "%-10s %-12s cec %s %8.2fms | atpg %8.2fms survivors=%d \
+               unk=%d\n%!"
+              row.bench row.fam row.cec.payload (median row.cec)
+              (median row.atpg) row.survivors
+              (count 'U' row.atpg.payload);
             row)
           entries)
       fams
   in
   let sum f = List.fold_left (fun a row -> a +. f row) 0.0 rows in
-  let tot_cec = sum (fun r -> r.cec.ms) in
-  let tot_atpg = sum (fun r -> r.atpg.ms) in
-  Printf.printf "total: cec=%.2fms | atpg=%.2fms\n" tot_cec tot_atpg;
+  let tot_cec = sum (fun r -> median r.cec) in
+  let tot_atpg = sum (fun r -> median r.atpg) in
+  Printf.printf "total (medians): cec=%.2fms | atpg=%.2fms\n" tot_cec tot_atpg;
   let b = Buffer.create 8192 in
   Printf.bprintf b
-    "{\n  \"suite\": \"%s\",\n  \"families\": [%s],\n  \"repeat\": %d,\n  \
-     \"fault_rounds\": %d,\n  \"conflict_budget\": %d,\n  \"rows\": [\n"
+    "{\n  \"suite\": \"%s\",\n  \"families\": [%s],\n  \
+     \"conflict_budget\": %d,\n  \"rows\": [\n"
     (if !benches <> [] then "custom" else if !full then "full" else "fast")
     (String.concat ", "
        (List.map
           (fun f -> "\"" ^ Cli_common.family_arg_name f ^ "\"")
           fams))
-    !repeat !rounds !budget;
+    !budget;
   List.iteri
     (fun i row ->
       if i > 0 then Buffer.add_string b ",\n";
       Printf.bprintf b
-        "    {\"bench\": \"%s\", \"family\": \"%s\", \"faults\": %d, \
-         \"cec_verdict\": \"%s\", \"atpg_unknown\": %d,\n     \"cec\": "
-        row.bench row.fam row.faults row.cec.payload
-        (count_unknown row.atpg.payload);
+        "    {\"bench\": \"%s\", \"family\": \"%s\", \"nproc\": %d, \
+         \"repeat\": %d, \"faults\": %d, \"fault_rounds\": %d, \
+         \"survivors\": %d, \"cec_verdict\": \"%s\", \"atpg_unknown\": %d,\n\
+        \     \"cec\": "
+        row.bench row.fam nproc !repeat row.faults row.rounds row.survivors
+        row.cec.payload
+        (count 'U' row.atpg.payload);
       json_measurement b row.cec;
       Buffer.add_string b ",\n     \"atpg\": ";
       json_measurement b row.atpg;

@@ -67,21 +67,6 @@ let skip_ratio m =
   let d = m.reevals + m.skips in
   if d = 0 then 0.0 else float_of_int m.skips /. float_of_int d
 
-(* The host's online CPU count from nproc — what the kernel will actually
-   schedule on, as opposed to [Domain.recommended_domain_count] which can
-   be clamped by the runtime. *)
-let nproc_cpus () =
-  match Unix.open_process_in "nproc 2>/dev/null" with
-  | exception _ -> Domain.recommended_domain_count ()
-  | ic -> (
-      let line = try Some (input_line ic) with End_of_file -> None in
-      match (Unix.close_process_in ic, line) with
-      | Unix.WEXITED 0, Some l -> (
-          match int_of_string_opt (String.trim l) with
-          | Some n when n >= 1 -> n
-          | _ -> Domain.recommended_domain_count ())
-      | _ -> Domain.recommended_domain_count ())
-
 (* Runs [f] in a forked child; the child prints one line to a pipe and
    exits, the parent returns the line. *)
 let in_child f =
@@ -187,7 +172,7 @@ let () =
   let entries =
     List.concat_map (fun n -> Cli_common.bench_entries ~prog [ n ]) names
   in
-  let cpus = nproc_cpus () in
+  let cpus = Cli_common.nproc () in
   if cpus = 1 && List.exists (fun j -> j > 1) jl then
     prerr_endline
       ("\n" ^ prog

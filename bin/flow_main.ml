@@ -56,7 +56,8 @@ let specs =
     ( "--conflict-budget",
       Arg.Set_int conflict_budget,
       "N SAT conflict cap for lint, fault ATPG and cec unless the step sets \
-       budget=N (0 = default budgets; exhaustion degrades to a Warning)" );
+       budget=N (cec: for the whole check; 0 = default budgets, negative is \
+       a usage error; exhaustion degrades to a Warning)" );
     ( "--pass-budget",
       Arg.Set_float pass_budget,
       "S wall-clock budget per pass in seconds; overruns add a \
@@ -163,6 +164,10 @@ let main () =
   (match !metrics with
   | "" | "human" | "tsv" | "json" -> ()
   | m -> Cli_common.usage_die ~prog ("unknown metrics mode " ^ m));
+  if !conflict_budget < 0 then
+    Cli_common.usage_die ~prog
+      (Printf.sprintf "--conflict-budget expects at least 0, got %d"
+         !conflict_budget);
   let fams = Cli_common.parse_families ~prog !families in
   let input_entries, input_diags = input_circuits (List.rev !inputs) in
   let entries =

@@ -68,3 +68,15 @@ let peak_rss_kb () =
                 else go ()
           in
           go ())
+
+let nproc () =
+  match Unix.open_process_in "nproc 2>/dev/null" with
+  | exception _ -> Domain.recommended_domain_count ()
+  | ic -> (
+      let line = try Some (input_line ic) with End_of_file -> None in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some l -> (
+          match int_of_string_opt (String.trim l) with
+          | Some n when n >= 1 -> n
+          | _ -> Domain.recommended_domain_count ())
+      | _ -> Domain.recommended_domain_count ())

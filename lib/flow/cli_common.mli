@@ -46,3 +46,8 @@ val peak_rss_kb : unit -> int option
 (** Peak resident-set size of this process in kB ([VmHWM] from
     [/proc/self/status]); [None] on platforms without procfs.  Used by the
     bench harnesses to record memory alongside wall time. *)
+
+val nproc : unit -> int
+(** The host's online CPU count from [nproc], the CPUs the kernel will
+    schedule on; [Domain.recommended_domain_count] when [nproc] fails.
+    The bench harnesses record it beside their timings. *)

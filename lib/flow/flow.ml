@@ -347,7 +347,7 @@ let pass_fault step =
 
 (* SAT equivalence of the mapping against its source AIG.  Unlike [verify]
    (random simulation) this is complete — but under a conflict budget the
-   solver may give up, and that outcome must stay a structured, typed
+   check may give up, and that outcome must stay a structured, typed
    report ([cec-undecided] Warning), never an exception escaping a served
    job. *)
 let pass_cec step =
@@ -394,7 +394,7 @@ let pass_cec step =
             @ [
                 Diag.warnf ~rule:"cec-undecided" (Diag.Circuit ctx.name)
                   "SAT conflict budget (%d) exhausted before the equivalence \
-                   miter was decided"
+                   check was decided"
                   (Option.value budget ~default:0);
               ];
         }
@@ -504,8 +504,9 @@ let registry : (string * pass_info) list =
         p_apply = pass_testability } );
     ( "cec",
       { p_doc =
-          "SAT equivalence of the mapping vs its source AIG [budget=N]; \
-           budget exhaustion degrades to a cec-undecided Warning";
+          "SAT-sweeping equivalence check of the mapping vs its source AIG \
+           [budget=N, the conflicts the whole check may spend]; budget \
+           exhaustion degrades to a cec-undecided Warning";
         p_args = [ "budget" ]; p_apply = pass_cec } );
     ( "fail",
       { p_doc =

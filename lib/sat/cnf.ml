@@ -4,33 +4,23 @@ let lit_of vars l =
   let v = vars.(Aig.node_of l) in
   if Aig.is_compl l then Solver.neg v else Solver.pos v
 
-let encode_with s aig mk_input_var =
-  let n = Aig.num_nodes aig in
-  let vars = Array.make n (-1) in
-  (* constant node *)
-  vars.(0) <- Solver.new_var s;
-  Solver.add_clause s [ Solver.neg vars.(0) ];
-  for i = 0 to Aig.num_inputs aig - 1 do
-    vars.(i + 1) <- mk_input_var i
-  done;
-  Aig.iter_ands aig (fun nd ->
-      let v = Solver.new_var s in
-      vars.(nd) <- v;
-      let a = lit_of vars (Aig.fanin0 aig nd) in
-      let b = lit_of vars (Aig.fanin1 aig nd) in
+let rec encode_lit s aig vars l =
+  let n = Aig.node_of l in
+  if vars.(n) < 0 then begin
+    let v = Solver.new_var s in
+    vars.(n) <- v;
+    if n = 0 then Solver.add_clause s [ Solver.neg v ]
+    else if Aig.is_and aig n then begin
+      let a = encode_lit s aig vars (Aig.fanin0 aig n) in
+      let b = encode_lit s aig vars (Aig.fanin1 aig n) in
       let y = Solver.pos v in
       (* y <-> a & b *)
       Solver.add_clause s [ Solver.lit_not y; a ];
       Solver.add_clause s [ Solver.lit_not y; b ];
-      Solver.add_clause s [ y; Solver.lit_not a; Solver.lit_not b ]);
-  vars
-
-let encode s aig = encode_with s aig (fun _ -> Solver.new_var s)
-
-let encode_shared s aig ~inputs =
-  if Array.length inputs <> Aig.num_inputs aig then
-    invalid_arg "Cnf.encode_shared";
-  encode_with s aig (fun i -> inputs.(i))
+      Solver.add_clause s [ y; Solver.lit_not a; Solver.lit_not b ]
+    end
+  end;
+  lit_of vars l
 
 let add_formula s fm =
   while Solver.num_vars s < fm.fm_vars do

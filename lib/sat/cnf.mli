@@ -8,21 +8,14 @@ type formula = {
 (** A plain clause list, the exchange format between DIMACS text and
     the solver. *)
 
-val lit_of : int array -> Aig.lit -> int
-(** [lit_of vars l] is the solver literal for AIG literal [l], given the
-    node-to-variable map returned by {!encode}. *)
-
 (** {1 Encoding} *)
 
-val encode : Solver.t -> Aig.t -> int array
-(** Adds one solver variable per AIG node (constant node included,
-    clamped to false) and the three AND-gate clauses per node.  Returns
-    the node-indexed variable map.  Can be called for several graphs on
-    one solver; to share inputs use {!encode_shared}. *)
-
-val encode_shared : Solver.t -> Aig.t -> inputs:int array -> int array
-(** Like {!encode} but uses the given solver variables for the primary
-    inputs ([inputs.(i)] for input [i]). *)
+val encode_lit : Solver.t -> Aig.t -> int array -> Aig.lit -> int
+(** [encode_lit s aig vars l] is the solver literal for [l], encoding
+    the part of [l]'s cone not encoded yet: [vars] maps nodes to solver
+    variables, [-1] for a node without one, and is updated in place.
+    An input gets a free variable, an AND node a variable and three
+    clauses, and the constant node a variable clamped to false. *)
 
 val add_formula : Solver.t -> formula -> unit
 (** Creates variables up to [fm_vars] (if the solver has fewer) and adds

@@ -153,9 +153,9 @@ let test_cnf_encode () =
   let y = Aig.mk_and g a (Aig.lnot b) in
   Aig.add_output g "y" y;
   let s = Solver.create () in
-  let vars = Cnf.encode s g in
+  let vars = Array.make (Aig.num_nodes g) (-1) in
   (* force y true: must imply a=1, b=0 *)
-  Solver.add_clause s [ Cnf.lit_of vars y ];
+  Solver.add_clause s [ Cnf.encode_lit s g vars y ];
   Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
   Alcotest.(check bool) "a true" true (Solver.model_value s vars.(Aig.node_of a));
   Alcotest.(check bool) "b false" false (Solver.model_value s vars.(Aig.node_of b))
@@ -374,6 +374,207 @@ let test_cec_sim_filter () =
   | Cec.Inequivalent _ -> ()
   | _ -> Alcotest.fail "expected inequivalence"
 
+(* ---- SAT sweeping ---- *)
+
+(* A random graph over 7..10 inputs: AND/OR/XOR/MUX nodes over earlier
+   literals, the last three of them as outputs, the first of those XORed
+   with a minterm: a chain of ANDs over every input.  Also returns the
+   chain's nodes. *)
+let random_graph rng =
+  let g = Aig.create () in
+  let nin = 7 + Rand64.int rng 4 in
+  let ins = List.init nin (fun _ -> Aig.add_input g) in
+  let pool = ref ins in
+  let pick () =
+    let l = List.nth !pool (Rand64.int rng (List.length !pool)) in
+    if Rand64.bool rng then Aig.lnot l else l
+  in
+  for _ = 1 to 5 + Rand64.int rng 40 do
+    let x =
+      match Rand64.int rng 4 with
+      | 0 -> Aig.mk_and g (pick ()) (pick ())
+      | 1 -> Aig.mk_or g (pick ()) (pick ())
+      | 2 -> Aig.mk_xor g (pick ()) (pick ())
+      | _ -> Aig.mk_mux g (pick ()) (pick ()) (pick ())
+    in
+    pool := x :: !pool
+  done;
+  let literal x = if Rand64.bool rng then Aig.lnot x else x in
+  let chain = ref [] in
+  let minterm =
+    List.fold_left
+      (fun acc x ->
+        let y = Aig.mk_and g acc (literal x) in
+        chain := Aig.node_of y :: !chain;
+        y)
+      (literal (List.hd ins)) (List.tl ins)
+  in
+  List.iteri
+    (fun i l ->
+      if i < 3 then
+        Aig.add_output g (Printf.sprintf "o%d" i)
+          (if i = 0 then Aig.mk_xor g l minterm else l))
+    !pool;
+  (g, !chain)
+
+(* A copy of [g] with the first fanin of AND node [k] complemented.  On a
+   chain node that fanin is an input, so the copy's minterm moves to a
+   neighbouring assignment: a difference a random round rarely sees. *)
+let flip_fanin g k =
+  let h = Aig.create () in
+  let m = Array.make (Aig.num_nodes g) Aig.lit_false in
+  for i = 1 to Aig.num_inputs g do
+    m.(i) <- Aig.add_input h
+  done;
+  let tr l =
+    let x = m.(Aig.node_of l) in
+    if Aig.is_compl l then Aig.lnot x else x
+  in
+  Aig.iter_ands g (fun n ->
+      let f0 = tr (Aig.fanin0 g n) in
+      let f0 = if n = k then Aig.lnot f0 else f0 in
+      m.(n) <- Aig.mk_and h f0 (tr (Aig.fanin1 g n)));
+  Array.iter (fun (name, l) -> Aig.add_output h name (tr l)) (Aig.outputs g);
+  h
+
+(* A random graph and a second one built from it: rewritten, balanced, or
+   with one fanin complemented, on the minterm chain or anywhere. *)
+let random_pair seed =
+  let rng = Rand64.create (Int64.of_int seed) in
+  let a, chain = random_graph rng in
+  let pick_node nodes = List.nth nodes (Rand64.int rng (List.length nodes)) in
+  let b =
+    match Rand64.int rng 6 with
+    | 0 -> Synth.rewrite ~zero_gain:true a
+    | 1 -> Synth.balance a
+    | 2 | 3 | 4 -> flip_fanin a (pick_node chain)
+    | _ ->
+        let first = Aig.num_inputs a + 1 in
+        let ands = List.init (Aig.num_nodes a - first) (( + ) first) in
+        flip_fanin a (pick_node ands)
+  in
+  (a, b)
+
+let same_function a b =
+  Array.for_all2
+    (fun (_, la) (_, lb) -> Tt.equal (Aig.tt_of_lit a la) (Aig.tt_of_lit b lb))
+    (Aig.outputs a) (Aig.outputs b)
+
+(* The verdict agrees with the truth tables, and a counterexample tells
+   the outputs apart. *)
+let verdict_sound a b = function
+  | Cec.Equivalent -> same_function a b
+  | Cec.Inequivalent cex ->
+      (not (same_function a b)) && Aig.eval a cex <> Aig.eval b cex
+  | Cec.Undecided -> false
+
+let sweep_proved = ref 0
+let sweep_refuted = ref 0
+
+(* One simulation round leaves candidate pairs that only SAT settles.
+   Equivalent after a solve: the sweep proved and merged them.
+   Inequivalent after a solve: the difference escaped the round, so the
+   sweep's models split the outputs' class (the refinement path) and the
+   final miter, the only SAT step that answers Inequivalent, found the
+   counterexample. *)
+let prop_sweep =
+  QCheck.Test.make ~name:"sweep = truth tables" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let a, b = random_pair seed in
+      let stats = Solver.stats_create () in
+      let v = Cec.check ~sim_rounds:1 ~stats a b in
+      if stats.Solver.sat_solves > 0 then
+        incr (if v = Cec.Equivalent then sweep_proved else sweep_refuted);
+      verdict_sound a b v)
+
+let budget_undecided = ref 0
+let budget_decided = ref 0
+
+(* [conflict_budget] caps the whole check, queries and final miter
+   together: the (equivalent) adder pairs need up to 137 conflicts, more
+   than the smaller budgets allow. *)
+let prop_budget =
+  QCheck.Test.make ~name:"conflict budget caps the check" ~count:100
+    QCheck.(pair (int_range 2 12) (int_range 1 200))
+    (fun (bits, n) ->
+      let a = build_adder_variant `Xor bits in
+      let b = build_adder_variant `Mux bits in
+      let stats = Solver.stats_create () in
+      stats.Solver.sat_conflicts <- 7;
+      let v = Cec.check ~conflict_budget:n ~stats a b in
+      (match v with
+      | Cec.Undecided -> incr budget_undecided
+      | _ -> incr budget_decided);
+      stats.Solver.sat_conflicts - 7 <= n
+      && match v with Cec.Inequivalent _ -> false | _ -> true)
+
+(* The golden graph of suite circuit [name] after [synth(light); map] on
+   [family], and its mapping. *)
+let light_mapped name family =
+  let e = Bench_suite.find name in
+  let ctx = Flow.init ~family ~name (e.Bench_suite.build ()) in
+  let ctx, _ = Flow.run (Flow.parse_script_exn "synth(light); map") ctx in
+  (Option.get ctx.Flow.golden, Option.get ctx.Flow.mapped)
+
+(* The 16x16 multiplier, whose monolithic miter ran for minutes, is
+   decided on every family within 20,000 conflicts. *)
+let test_cec_c6288 () =
+  List.iter
+    (fun family ->
+      let golden, mapped = light_mapped "C6288" family in
+      match Cec.check ~conflict_budget:20_000 golden (Mapped.to_aig mapped) with
+      | Cec.Equivalent -> ()
+      | Cec.Inequivalent _ ->
+          Alcotest.failf "C6288/%s: inequivalent"
+            (Cell_netlist.family_name family)
+      | Cec.Undecided ->
+          Alcotest.failf "C6288/%s: undecided"
+            (Cell_netlist.family_name family))
+    Cell_netlist.all_families
+
+(* i10's check holds more solver variables than [Cec]'s recycling
+   threshold and hands its solver over to an empty one mid-sweep (two or
+   three times on the static family, five on cmos; once and twice before
+   2,500 conflicts).  The verdicts stay right across the hand-overs, the
+   last output XORed with a minterm over 20 inputs (which no random
+   round sees) included, and every solver's conflicts reach [stats]
+   once: a check that runs out of its budget after a hand-over has added
+   exactly that budget. *)
+let test_cec_recycled_solver () =
+  List.iter
+    (fun family ->
+      let fam = Cell_netlist.family_name family in
+      let golden, mapped = light_mapped "i10" family in
+      (match Cec.check golden (Mapped.to_aig mapped) with
+      | Cec.Equivalent -> ()
+      | _ -> Alcotest.failf "i10/%s: not equivalent" fam);
+      let b = Mapped.to_aig mapped in
+      let last = Aig.num_outputs b - 1 in
+      let minterm =
+        Aig.mk_and_list b
+          (List.init 20 (fun i ->
+               let l = Aig.input_lit b i in
+               if i mod 3 = 0 then Aig.lnot l else l))
+      in
+      Aig.set_output b last (Aig.mk_xor b (snd (Aig.output b last)) minterm);
+      (match Cec.check golden b with
+      | Cec.Inequivalent cex ->
+          Alcotest.(check bool)
+            (fam ^ ": cex distinguishes")
+            true
+            (Aig.eval golden cex <> Aig.eval b cex)
+      | _ -> Alcotest.failf "i10/%s: minterm difference missed" fam);
+      let stats = Solver.stats_create () in
+      match
+        Cec.check ~conflict_budget:2_500 ~stats golden (Mapped.to_aig mapped)
+      with
+      | Cec.Undecided ->
+          Alcotest.(check int) (fam ^ ": conflicts") 2_500
+            stats.Solver.sat_conflicts
+      | _ -> Alcotest.failf "i10/%s: decided within 2,500 conflicts" fam)
+    Cell_netlist.[ Tg_static; Cmos ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -420,5 +621,16 @@ let () =
           Alcotest.test_case "budget exception" `Quick
             test_cec_budget_exception;
           Alcotest.test_case "sim filter" `Quick test_cec_sim_filter;
+          with_outcome_shares prop_sweep
+            [
+              ("proved by the sweep", sweep_proved);
+              ("refined, then refuted by the final miter", sweep_refuted);
+            ];
+          with_outcome_shares prop_budget
+            [ ("undecided", budget_undecided); ("decided", budget_decided) ];
+          Alcotest.test_case "C6288 decided on every family" `Quick
+            test_cec_c6288;
+          Alcotest.test_case "recycled solver" `Quick
+            test_cec_recycled_solver;
         ] );
     ]
