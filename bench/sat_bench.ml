@@ -1,6 +1,6 @@
 (* SAT benchmark: times the two SAT workloads the flow runs — the
-   sweeping CEC (golden AIG vs its re-expanded mapping) and the fault-ATPG
-   sweep (one miter, an assumption query per surviving fault) — and
+   sweeping CEC (golden AIG vs its re-expanded mapping) and the fault
+   ATPG (a cone-local miter and a fresh solver per surviving fault) — and
    writes wall times and solver counters to BENCH_sat.json.
 
    Each (benchmark, task) measurement runs in a forked child process:

@@ -5,10 +5,12 @@
    stuck at 0 or 1.  Detection runs 64 random patterns per word
    (Mapped.simulate_values gives the fault-free baseline once per round;
    each live fault then only resimulates its fanout cone against a scratch
-   copy, with fault dropping), and the survivors go to SAT-based ATPG: a
-   miter between the good netlist and a structurally injected faulty copy,
-   decided by Cec under a conflict budget, degrading to Unknown — reported,
-   never raised — when the budget runs out. *)
+   copy, with fault dropping; a cell evaluates over whole words at once),
+   and the survivors go to SAT-based ATPG: one small miter per fault,
+   holding a faulty copy of the fault's fanout cone only and the part of
+   the good netlist it reads, decided under a per-fault conflict budget
+   and degrading to Unknown — reported, never raised — when the budget
+   runs out. *)
 
 type site =
   | Pi_sa of int        (* primary input stuck *)
@@ -77,8 +79,8 @@ let cofactor_word tt v b =
   (Tt.words t').(0)
 
 (* Structural injection: a copy of the netlist computing the faulty
-   function.  Used for ATPG miters and as the slow reference the packed
-   simulator is property-tested against. *)
+   function.  The reference the packed simulator and the ATPG verdicts
+   are tested against. *)
 let inject (m : Mapped.t) f =
   let instances = Array.copy m.Mapped.instances in
   let outputs = ref m.Mapped.outputs in
@@ -158,11 +160,6 @@ let cone_of cones seeds =
   List.iter go seeds;
   List.sort compare !acc
 
-let outputs_word (m : Mapped.t) words vals =
-  Array.map
-    (fun (_, net) -> Mapped.net_value words vals net)
-    m.Mapped.outputs
-
 (* Simulate one fault against the baseline for this round.  [scratch] must
    equal [base_vals]; it is restored before returning. *)
 let sim_fault (m : Mapped.t) cones words base_vals base_outs scratch f =
@@ -192,170 +189,192 @@ let sim_fault (m : Mapped.t) cones words base_vals base_outs scratch f =
   let detected =
     (* output nets read PIs directly too, so compare against the faulty
        words for PI faults *)
-    let outs = outputs_word m words' scratch in
-    outs <> base_outs
+    Array.exists2
+      (fun (_, net) base ->
+        not (Int64.equal (Mapped.net_value words' scratch net) base))
+      m.Mapped.outputs base_outs
   in
   List.iter (fun k -> scratch.(k) <- base_vals.(k)) cone;
   (match injected with Some j -> scratch.(j) <- base_vals.(j) | None -> ());
   detected
 
-(* ---------------- incremental ATPG ---------------- *)
+(* ---------------- cone-local ATPG ---------------- *)
 
-(* One CNF miter per netlist: a good copy and a faulty copy sharing the
-   primary inputs, with every surviving fault wired through a selector
-   variable.  A fault is then decided by one [solve ~assumptions] with its
-   selector true and all others false — the learned clauses, variable
-   activities and the encoding itself are shared across the whole sweep,
-   instead of rebuilding a fresh miter per fault.
+(* The on-set and off-set ISOP covers of an [arity]-input table, as
+   clause templates: code [2i] stands for fanin literal [i], [2i + 1] for
+   its negation.  [covers] memoises them per arity and table. *)
+let covers_of covers arity tt =
+  let t = Tt.of_bits arity tt in
+  let key = (Tt.words t).(0) in
+  match Word_tbl.find_opt covers.(arity) key with
+  | Some c -> c
+  | None ->
+      let template c =
+        let codes = ref [] in
+        for i = arity - 1 downto 0 do
+          if Cube.has_pos c i then codes := ((2 * i) + 1) :: !codes
+          else if Cube.has_neg c i then codes := (2 * i) :: !codes
+        done;
+        Array.of_list !codes
+      in
+      let cover f = List.map template (Sop.isop f).Sop.cubes in
+      let c = (cover t, cover (Tt.bnot t)) in
+      Word_tbl.add covers.(arity) key c;
+      c
 
-   Injection matches [inject]'s semantics exactly: an output stuck forces
-   the instance output, a pin stuck forces the {e post-negation} pin value
-   feeding the truth table, and a PI stuck forces the {e pre-negation}
-   input value (output nets reading the PI directly see it too). *)
-module Atpg = struct
-  type miter = {
-    s : Solver.t;
-    piv : int array;    (* good (= shared) primary-input variables *)
-    sels : int array;   (* per-survivor selector variables *)
-  }
+(* y <-> tt(lits): an on-set cube c gives the clause (y \/ ~c), an
+   off-set cube d gives (~y \/ ~d). *)
+let encode_tt covers s lits tt y =
+  let on, off = covers_of covers (Array.length lits) tt in
+  let clause base codes =
+    Solver.add_clause s
+      (base
+      :: Array.fold_left
+           (fun acc c ->
+             let l = lits.(c lsr 1) in
+             (if c land 1 = 1 then Solver.lit_not l else l) :: acc)
+           [] codes)
+  in
+  List.iter (clause y) on;
+  List.iter (clause (Solver.lit_not y)) off
 
-  (* y <-> tt(lits), via ISOP covers of the on- and off-set: every on-set
-     cube c contributes (y \/ ~c), every off-set cube d contributes
-     (~y \/ ~d). *)
-  let encode_tt s lits arity tt y =
-    let t = Tt.of_bits arity tt in
-    let cube_clause base c =
-      let cl = ref [ base ] in
-      for i = 0 to arity - 1 do
-        if Cube.has_pos c i then cl := Solver.lit_not lits.(i) :: !cl
-        else if Cube.has_neg c i then cl := lits.(i) :: !cl
-      done;
-      Solver.add_clause s !cl
+(* The decision procedure for the faults of [m]: each call decides one
+   fault with its own small miter and solver, in the SAT-ATPG formulation
+   of Larrabee (IEEE TCAD 1992).  Only the fault's fanout cone gets a
+   faulty copy, and every fanin outside it reads the good copy.  The good
+   copy is encoded on demand, only where the faulty cone, the fault site
+   or a compared output reads it, and the XOR covers only the outputs the
+   cone reaches — a fault that reaches none is redundant without a solve.
+   A unit clause asks for activation: the good value at the site differs
+   from the stuck value.  Each solve runs under [conflict_budget] and
+   adds its effort to [stats].
+
+   Injection matches [inject]: an output stuck forces the instance
+   output, a pin stuck forces the post-negation pin value feeding the
+   truth table (the cofactored table), and a PI stuck forces the
+   pre-negation input value, which output nets reading the PI directly
+   see too. *)
+let atpg (m : Mapped.t) cones ~conflict_budget ?stats () =
+  let n = max (Array.length m.Mapped.instances) 1 in
+  let ni = max m.Mapped.num_inputs 1 in
+  let covers = Array.init 7 (fun _ -> Word_tbl.create 64) in
+  (* solver literals of the good PIs, good instances and faulty-cone
+     instances, valid where the matching stamp equals the query's *)
+  let pi_lit = Array.make ni 0 and pi_at = Array.make ni 0 in
+  let good_lit = Array.make n 0 and good_at = Array.make n 0 in
+  let bad_lit = Array.make n 0 and bad_at = Array.make n 0 in
+  let query = ref 0 in
+  fun f ->
+    incr query;
+    let q = !query in
+    (* the instances whose faulty value may differ, in topological order,
+       and the faulty PI *)
+    let cone, bad_pi =
+      match f.site with
+      | Pi_sa i -> (cone_of cones cones.pi_consumers.(i), i)
+      | Out_sa j | Pin_sa (j, _) -> (j :: cone_of cones cones.fanout.(j), -1)
     in
-    List.iter (cube_clause y) (Sop.isop t).Sop.cubes;
-    List.iter
-      (cube_clause (Solver.lit_not y))
-      (Sop.isop (Tt.bnot t)).Sop.cubes
-
-  let build (m : Mapped.t) (survivors : fault array) =
-    let s = Solver.create () in
-    (* a dedicated constant-false variable *)
-    let cfalse = Solver.new_var s in
-    Solver.add_clause s [ Solver.neg cfalse ];
-    let const_lit b = if b then Solver.neg cfalse else Solver.pos cfalse in
-    let piv = Array.init m.Mapped.num_inputs (fun _ -> Solver.new_var s) in
-    let sels = Array.map (fun _ -> Solver.new_var s) survivors in
-    (* z = if sel then b else x *)
-    let mux sel b x =
-      let z = Solver.pos (Solver.new_var s) in
-      let sl = Solver.pos sel in
-      let nsl = Solver.lit_not sl in
-      if b then Solver.add_clause s [ nsl; z ]
-      else Solver.add_clause s [ nsl; Solver.lit_not z ];
-      Solver.add_clause s [ sl; Solver.lit_not z; x ];
-      Solver.add_clause s [ sl; z; Solver.lit_not x ];
-      z
+    List.iter (fun k -> bad_at.(k) <- q) cone;
+    let reached =
+      List.filter
+        (fun (net : Mapped.net) ->
+          match net.Mapped.driver with
+          | Mapped.Pi i -> i = bad_pi
+          | Mapped.Inst k -> bad_at.(k) = q
+          | Mapped.Const _ -> false)
+        (List.map snd (Array.to_list m.Mapped.outputs))
     in
-    let chain faults x =
-      List.fold_left (fun x (sel, b) -> mux sel b x) x faults
-    in
-    (* survivor lookup per injection point, in survivor order *)
-    let pi_faults = Array.make m.Mapped.num_inputs [] in
-    let n_inst = Array.length m.Mapped.instances in
-    let out_faults = Array.make (max n_inst 1) [] in
-    let pin_faults = Hashtbl.create 64 in
-    Array.iteri
-      (fun k f ->
+    if reached = [] then Redundant
+    else begin
+      let s = Solver.create () in
+      let fresh () = Solver.pos (Solver.new_var s) in
+      let cfalse = fresh () in
+      Solver.add_clause s [ Solver.lit_not cfalse ];
+      let const_lit b = if b then Solver.lit_not cfalse else cfalse in
+      let polarity (net : Mapped.net) l =
+        if net.Mapped.negated then Solver.lit_not l else l
+      in
+      let pi_good i =
+        if pi_at.(i) <> q then begin
+          pi_at.(i) <- q;
+          pi_lit.(i) <- fresh ()
+        end;
+        pi_lit.(i)
+      in
+      let rec good_inst j =
+        if good_at.(j) <> q then begin
+          let inst = m.Mapped.instances.(j) in
+          let lits = Array.map good_net inst.Mapped.fanins in
+          let y = fresh () in
+          encode_tt covers s lits inst.Mapped.tt y;
+          good_at.(j) <- q;
+          good_lit.(j) <- y
+        end;
+        good_lit.(j)
+      and good_net (net : Mapped.net) =
+        polarity net
+          (match net.Mapped.driver with
+          | Mapped.Pi i -> pi_good i
+          | Mapped.Inst j -> good_inst j
+          | Mapped.Const b -> const_lit b)
+      in
+      let bad_net (net : Mapped.net) =
+        match net.Mapped.driver with
+        | Mapped.Pi i when i = bad_pi -> polarity net (const_lit f.stuck)
+        | Mapped.Inst k when bad_at.(k) = q -> polarity net bad_lit.(k)
+        | _ -> good_net net
+      in
+      (* the faulty copy: the site takes the stuck value, and the rest of
+         the cone reads it *)
+      List.iter
+        (fun k ->
+          let inst = m.Mapped.instances.(k) in
+          let encode fanin_lit tt =
+            let y = fresh () in
+            encode_tt covers s (Array.map fanin_lit inst.Mapped.fanins) tt y;
+            y
+          in
+          bad_lit.(k) <-
+            (match f.site with
+            | Out_sa j when j = k -> const_lit f.stuck
+            | Pin_sa (j, p) when j = k ->
+                encode good_net (cofactor_word inst.Mapped.tt p f.stuck)
+            | _ -> encode bad_net inst.Mapped.tt))
+        cone;
+      (* activation: the good value at the site is not the stuck value *)
+      let site =
         match f.site with
-        | Pi_sa i -> pi_faults.(i) <- (sels.(k), f.stuck) :: pi_faults.(i)
-        | Out_sa j -> out_faults.(j) <- (sels.(k), f.stuck) :: out_faults.(j)
-        | Pin_sa (j, p) ->
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt pin_faults (j, p))
-            in
-            Hashtbl.replace pin_faults (j, p) ((sels.(k), f.stuck) :: prev))
-      survivors;
-    (* faulty primary-input values *)
-    let fpi =
-      Array.init m.Mapped.num_inputs (fun i ->
-          chain pi_faults.(i) (Solver.pos piv.(i)))
-    in
-    (* the two circuit copies, in (topological) instance order *)
-    let gv = Array.make (max n_inst 1) 0 in
-    let fout = Array.make (max n_inst 1) 0 in
-    let good_driver_lit (net : Mapped.net) =
-      match net.Mapped.driver with
-      | Mapped.Pi i -> Solver.pos piv.(i)
-      | Mapped.Inst k -> Solver.pos gv.(k)
-      | Mapped.Const b -> const_lit b
-    in
-    let faulty_driver_lit (net : Mapped.net) =
-      match net.Mapped.driver with
-      | Mapped.Pi i -> fpi.(i)
-      | Mapped.Inst k -> fout.(k)
-      | Mapped.Const b -> const_lit b
-    in
-    let net_lit driver_lit (net : Mapped.net) =
-      let l = driver_lit net in
-      if net.Mapped.negated then Solver.lit_not l else l
-    in
-    Array.iteri
-      (fun j (inst : Mapped.instance) ->
-        let arity = Array.length inst.Mapped.fanins in
-        (* good copy *)
-        let g = Solver.new_var s in
-        gv.(j) <- g;
-        let glits = Array.map (net_lit good_driver_lit) inst.Mapped.fanins in
-        encode_tt s glits arity inst.Mapped.tt (Solver.pos g);
-        (* faulty copy: pin stucks apply after the net negation *)
-        let flits =
-          Array.mapi
-            (fun p net ->
-              let x = net_lit faulty_driver_lit net in
-              match Hashtbl.find_opt pin_faults (j, p) with
-              | Some faults -> chain faults x
-              | None -> x)
-            inst.Mapped.fanins
-        in
-        let fr = Solver.new_var s in
-        encode_tt s flits arity inst.Mapped.tt (Solver.pos fr);
-        fout.(j) <- chain out_faults.(j) (Solver.pos fr))
-      m.Mapped.instances;
-    (* miter outputs: some output must differ *)
-    let xors =
-      Array.map
-        (fun (_, net) ->
-          let la = net_lit good_driver_lit net in
-          let lb = net_lit faulty_driver_lit net in
-          let x = Solver.pos (Solver.new_var s) in
-          let nx = Solver.lit_not x in
-          let nla = Solver.lit_not la and nlb = Solver.lit_not lb in
-          Solver.add_clause s [ nx; la; lb ];
-          Solver.add_clause s [ nx; nla; nlb ];
-          Solver.add_clause s [ x; la; nlb ];
-          Solver.add_clause s [ x; nla; lb ];
-          x)
-        m.Mapped.outputs
-    in
-    Solver.add_clause s (Array.to_list xors);
-    { s; piv; sels }
-
-  (* Decide survivor [k]: its selector true, every other selector false. *)
-  let query mt ~conflict_budget k =
-    let assumptions =
-      Solver.pos mt.sels.(k)
-      :: (Array.to_list
-            (Array.mapi
-               (fun g sel -> if g = k then -1 else Solver.neg sel)
-               mt.sels)
-         |> List.filter (fun l -> l >= 0))
-    in
-    match Solver.solve ~assumptions ~conflict_budget mt.s with
-    | Solver.Unsat -> Redundant
-    | Solver.Unknown -> Unknown
-    | Solver.Sat ->
-        Detected_atpg (Array.map (Solver.model_value mt.s) mt.piv)
-end
+        | Pi_sa i -> pi_good i
+        | Out_sa j -> good_inst j
+        | Pin_sa (j, p) -> good_net m.Mapped.instances.(j).Mapped.fanins.(p)
+      in
+      Solver.add_clause s [ (if f.stuck then Solver.lit_not site else site) ];
+      (* some reached output differs *)
+      Solver.add_clause s
+        (List.map
+           (fun net ->
+             let g = good_net net and b = bad_net net in
+             let x = fresh () in
+             Solver.add_clause s [ Solver.lit_not x; g; b ];
+             Solver.add_clause s
+               [ Solver.lit_not x; Solver.lit_not g; Solver.lit_not b ];
+             x)
+           reached);
+      let status =
+        match Solver.solve ~conflict_budget s with
+        | Solver.Unsat -> Redundant
+        | Solver.Unknown -> Unknown
+        | Solver.Sat ->
+            (* an input outside the encoded support reaches no compared
+               output; any value detects *)
+            Detected_atpg
+              (Array.init m.Mapped.num_inputs (fun i ->
+                   pi_at.(i) = q
+                   && Solver.model_value s (Solver.lit_var pi_lit.(i))))
+      in
+      Option.iter (fun acc -> Solver.stats_accum acc (Solver.stats_of s)) stats;
+      status
+    end
 
 (* ---------------- the analysis driver ---------------- *)
 
@@ -374,7 +393,11 @@ let analyze ?(rounds = 32) ?(seed = 2026L) ?(conflict_budget = 100_000)
       Array.init m.Mapped.num_inputs (fun _ -> Rand64.next rng)
     in
     let base_vals = Mapped.simulate_values m words in
-    let base_outs = outputs_word m words base_vals in
+    let base_outs =
+      Array.map
+        (fun (_, net) -> Mapped.net_value words base_vals net)
+        m.Mapped.outputs
+    in
     let scratch = Array.copy base_vals in
     Array.iteri
       (fun i f ->
@@ -385,22 +408,12 @@ let analyze ?(rounds = 32) ?(seed = 2026L) ?(conflict_budget = 100_000)
           end)
       faults
   done;
-  (* ATPG sweep over the survivors *)
-  (if !live > 0 then begin
-     let surv_idx = ref [] in
+  (* ATPG over the survivors, one cone-local miter each *)
+  (if !live > 0 then
+     let decide = atpg m cones ~conflict_budget ?stats () in
      Array.iteri
-       (fun i _ -> if status.(i) = None then surv_idx := i :: !surv_idx)
-       faults;
-     let surv_idx = Array.of_list (List.rev !surv_idx) in
-     let survivors = Array.map (fun i -> faults.(i)) surv_idx in
-     let mt = Atpg.build m survivors in
-     Array.iteri
-       (fun k i -> status.(i) <- Some (Atpg.query mt ~conflict_budget k))
-       surv_idx;
-     match stats with
-     | Some acc -> Solver.stats_accum acc (Solver.stats_of mt.Atpg.s)
-     | None -> ()
-   end);
+       (fun i f -> if status.(i) = None then status.(i) <- Some (decide f))
+       faults);
   let results =
     Array.mapi
       (fun i f ->

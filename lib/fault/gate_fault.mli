@@ -1,11 +1,14 @@
 (** Gate-level single-stuck-at fault simulation and ATPG over {!Mapped.t}.
 
     Random-pattern detection runs 64 patterns per word with per-fault
-    fanout-cone resimulation and fault dropping.  The undetected faults
-    share one SAT miter between the netlist and a copy with every
-    survivor wired in behind a selector variable; each survivor is
-    decided by one assumption query under a conflict budget, so a hard
-    fault degrades to {!Unknown} instead of an unbounded solve. *)
+    fanout-cone resimulation and fault dropping.  Each undetected fault
+    gets its own cone-local SAT miter (Larrabee's formulation): a faulty
+    copy of the fault's fanout cone only, the part of the good netlist
+    that cone and the outputs it reaches read, an XOR over those outputs
+    and a unit clause that activates the fault.  A fault that reaches no
+    output is {!Redundant} without a solve.  Each query runs under a
+    conflict budget, so a hard fault degrades to {!Unknown} instead of an
+    unbounded solve. *)
 
 type site =
   | Pi_sa of int         (** primary input stuck *)
@@ -59,7 +62,7 @@ val analyze :
 (** Full fault-simulation + ATPG run (defaults: 32 rounds, seed 2026,
     budget 100k conflicts per fault).  Deterministic for fixed arguments;
     never raises on hard SAT instances.  [stats], when given, accumulates
-    the SAT effort of the ATPG sweep.
+    the SAT effort of every ATPG query.
 
     A decided verdict is the one a fresh {!Cec.check} between the
     netlist and its {!inject}ed copy gives: {!Redundant} for

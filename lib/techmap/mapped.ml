@@ -156,25 +156,35 @@ let net_value words vals net =
   in
   if net.negated then Int64.lognot v else v
 
-(* evaluate one instance's 6-var function bit-sliced over the fanin words *)
+(* Evaluate one instance over its fanin words at once, by Shannon
+   expansion on the highest fanin: [f = x ? f1 : f0], where the cofactors
+   [f0]/[f1] are the low and high halves of the table.  A fanin that the
+   two halves do not depend on ([f0 = f1]) is skipped, so a k-input cell
+   costs at most 2^k - 1 word muxes.  Only the low 2^k bits of [tt] are
+   read.  [go t v] expands the function of fanins [0 .. v-1] held in the
+   low [2^v] bits of [t]; for [v <= 5] that fits a native int. *)
 let eval_instance words vals inst =
-  let k = Array.length inst.fanins in
-  let out = ref 0L in
-  for bit = 0 to 63 do
-    let idx = ref 0 in
-    for i = 0 to k - 1 do
-      if
-        Int64.(
-          logand
-            (shift_right_logical (net_value words vals inst.fanins.(i)) bit)
-            1L)
-        <> 0L
-      then idx := !idx lor (1 lsl i)
-    done;
-    if Int64.(logand (shift_right_logical inst.tt !idx) 1L) <> 0L then
-      out := Int64.logor !out (Int64.shift_left 1L bit)
-  done;
-  !out
+  let fanins = inst.fanins in
+  let mux x f0 f1 = Int64.logxor f0 (Int64.logand x (Int64.logxor f0 f1)) in
+  let rec go t v =
+    if t = 0 then 0L
+    else if v = 0 then -1L
+    else
+      let h = 1 lsl (v - 1) in
+      let hi = t lsr h in
+      let lo = t land ((1 lsl h) - 1) in
+      let f0 = go lo (v - 1) in
+      if hi = lo then f0
+      else mux (net_value words vals fanins.(v - 1)) f0 (go hi (v - 1))
+  in
+  let k = Array.length fanins in
+  if k < 6 then go (Int64.to_int inst.tt land ((1 lsl (1 lsl k)) - 1)) k
+  else
+    let lo = Int64.to_int inst.tt land 0xFFFF_FFFF in
+    let hi = Int64.to_int (Int64.shift_right_logical inst.tt 32) in
+    let f0 = go lo 5 in
+    if hi = lo then f0
+    else mux (net_value words vals fanins.(5)) f0 (go hi 5)
 
 let simulate_values m words =
   if Array.length words <> m.num_inputs then invalid_arg "Mapped.simulate";

@@ -108,7 +108,9 @@ val net_value : int64 array -> int64 array -> net -> int64
 
 val eval_instance : int64 array -> int64 array -> instance -> int64
 (** One instance's packed output word given packed input words and the
-    packed values of (at least) its fanin instances. *)
+    packed values of (at least) its fanin instances.  Evaluates all 64
+    patterns at once, with at most [2^k - 1] word muxes for [k] fanins;
+    only the low [2^k] bits of [tt] are read. *)
 
 val eval : t -> bool array -> bool array
 

@@ -1,7 +1,8 @@
 (* Tests for the fault subsystem: the transistor-level cell dictionaries
    (zero-fault fidelity, determinism, the known family-level physics) and
-   the gate-level packed stuck-at simulator (property-tested against a
-   serial structurally-injected reference) plus the ATPG bookkeeping. *)
+   the gate-level packed stuck-at simulator (tested against structural
+   injection simulated by the bit-serial reference, test/mapped_ref.ml)
+   plus the ATPG bookkeeping. *)
 
 (* ---- transistor level ---- *)
 
@@ -122,7 +123,8 @@ let mapped_of name =
 
 (* The packed cone-resimulating fault simulator agrees, fault for fault,
    with the slow reference: structurally inject the fault (Gate_fault.inject)
-   and fully resimulate the copy on the same pattern stream. *)
+   and fully resimulate the copy on the same pattern stream with the
+   bit-serial evaluator, so a fault in the word-parallel kernel shows. *)
 let test_packed_equals_serial () =
   List.iter
     (fun name ->
@@ -136,13 +138,13 @@ let test_packed_equals_serial () =
         Array.init s.Gate_fault.g_rounds (fun _ ->
             Array.init m.Mapped.num_inputs (fun _ -> Rand64.next rng))
       in
-      let base = Array.map (Mapped.simulate m) pats in
+      let base = Array.map (Mapped_ref.simulate m) pats in
       Array.iter
         (fun (r : Gate_fault.result) ->
           let faulty = Gate_fault.inject m r.Gate_fault.fault in
           let serial =
             Array.exists2
-              (fun words b -> Mapped.simulate faulty words <> b)
+              (fun words b -> Mapped_ref.simulate faulty words <> b)
               pats base
           in
           let packed = r.Gate_fault.status = Gate_fault.Detected_sim in
@@ -201,18 +203,48 @@ let test_atpg_bookkeeping () =
   Alcotest.(check bool) "testable coverage >= coverage" true
     (Gate_fault.testable_coverage s >= cov -. 1e-9)
 
-(* The incremental ATPG sweep (one miter, assumption queries) must agree
-   with a fresh CEC miter per fault, the per-fault rebuild it replaced:
-   every survivor it decides is decided again by [Cec.check] between the
-   netlist and its injected copy.  A fault proved redundant must be
-   Equivalent, a detected one Inequivalent (counterexample bits may
-   differ — the solvers search differently).  Unknown is only possible
-   under a conflict budget, which this test doesn't set.  One random
-   round detects every add-16 fault, so there the sweep decides them
-   all. *)
+(* Every ATPG verdict must agree with a fresh CEC miter per fault over
+   the whole netlist: each survivor the cone-local queries decide is
+   decided again by [Cec.check] between the netlist and its injected
+   copy.  A fault proved redundant must be Equivalent, a detected one
+   Inequivalent (counterexample bits may differ — the solvers search
+   differently).  Unknown is only possible under a conflict budget,
+   which this test doesn't set.  One random round detects every add-16
+   fault, so there ATPG decides them all; dalu leaves redundant faults,
+   so the UNSAT path is re-decided too. *)
+let atpg_agrees_with_cec name m results =
+  let good = Mapped.to_aig m in
+  let redundant = ref 0 in
+  Array.iter
+    (fun (r : Gate_fault.result) ->
+      let rebuild () =
+        Cec.check good (Mapped.to_aig (Gate_fault.inject m r.Gate_fault.fault))
+      in
+      let fail sweep cec =
+        Alcotest.failf "%s: %s is %s by ATPG but %s by CEC" name
+          (Gate_fault.describe m r.Gate_fault.fault)
+          sweep cec
+      in
+      match r.Gate_fault.status with
+      | Gate_fault.Detected_sim -> ()
+      | Gate_fault.Redundant -> (
+          incr redundant;
+          match rebuild () with
+          | Cec.Equivalent -> ()
+          | Cec.Inequivalent _ -> fail "redundant" "inequivalent"
+          | Cec.Undecided -> fail "redundant" "undecided")
+      | Gate_fault.Detected_atpg _ -> (
+          match rebuild () with
+          | Cec.Inequivalent _ -> ()
+          | Cec.Equivalent -> fail "detected" "equivalent"
+          | Cec.Undecided -> fail "detected" "undecided")
+      | Gate_fault.Unknown -> fail "unknown" "not asked")
+    results;
+  !redundant
+
 let test_atpg_engines_agree () =
   List.iter
-    (fun (name, rounds) ->
+    (fun (name, rounds, expect_redundant) ->
       let m = mapped_of name in
       let results, s = Gate_fault.analyze ~rounds ~seed:3L m in
       Alcotest.(check bool)
@@ -220,33 +252,79 @@ let test_atpg_engines_agree () =
         true
         (s.Gate_fault.g_atpg > 0);
       Alcotest.(check int) (name ^ ": no unknowns") 0 s.Gate_fault.g_unknown;
-      let good = Mapped.to_aig m in
-      Array.iter
-        (fun (r : Gate_fault.result) ->
-          let rebuild () =
-            Cec.check good
-              (Mapped.to_aig (Gate_fault.inject m r.Gate_fault.fault))
-          in
-          let fail sweep cec =
-            Alcotest.failf "%s: %s is %s by the sweep but %s by CEC" name
-              (Gate_fault.describe m r.Gate_fault.fault)
-              sweep cec
-          in
-          match r.Gate_fault.status with
-          | Gate_fault.Detected_sim -> ()
-          | Gate_fault.Redundant -> (
-              match rebuild () with
-              | Cec.Equivalent -> ()
-              | Cec.Inequivalent _ -> fail "redundant" "inequivalent"
-              | Cec.Undecided -> fail "redundant" "undecided")
-          | Gate_fault.Detected_atpg _ -> (
-              match rebuild () with
-              | Cec.Inequivalent _ -> ()
-              | Cec.Equivalent -> fail "detected" "equivalent"
-              | Cec.Undecided -> fail "detected" "undecided")
-          | Gate_fault.Unknown -> fail "unknown" "not asked")
-        results)
-    [ ("add-16", 0); ("t481", 1); ("C1908", 1) ]
+      let rechecked = atpg_agrees_with_cec name m results in
+      if expect_redundant then
+        Alcotest.(check bool)
+          (name ^ ": some redundant verdict re-checked")
+          true (rechecked > 0))
+    [
+      ("add-16", 0, false);
+      ("t481", 1, false);
+      ("C1908", 1, false);
+      ("dalu", 4, true);
+    ]
+
+(* A hand-built netlist for the two edges of the cone-local miter: an
+   instance that reaches no output, whose faults are redundant without a
+   solve, and a PI wired straight to an output (also read by that
+   instance), whose faults only that output shows. *)
+let test_atpg_cone_edges () =
+  let inst tt fanins =
+    {
+      Mapped.cell_name = "g";
+      area = 1.0;
+      delay = 1.0;
+      drive = None;
+      fanin_caps = [||];
+      fanins;
+      tt;
+      cover = None;
+    }
+  in
+  let pi ?(negated = false) i = { Mapped.driver = Mapped.Pi i; negated } in
+  let m =
+    {
+      Mapped.lib_name = "hand";
+      tau_ps = 1.0;
+      num_inputs = 3;
+      input_names = [| "a"; "b"; "c" |];
+      instances =
+        [|
+          inst 0x8888888888888888L [| pi 0; pi 1 |] (* y = a & b *);
+          inst 0xEEEEEEEEEEEEEEEEL [| pi 1; pi 2 |] (* b | c, unread *);
+        |];
+      outputs =
+        [|
+          ("y", { Mapped.driver = Mapped.Inst 0; negated = false });
+          ("w", pi ~negated:true 2);
+        |];
+    }
+  in
+  let stats = Solver.stats_create () in
+  let results, s = Gate_fault.analyze ~rounds:0 ~stats m in
+  Array.iter
+    (fun (r : Gate_fault.result) ->
+      let f = r.Gate_fault.fault in
+      let unread =
+        match f.Gate_fault.site with
+        | Gate_fault.Out_sa 1 | Gate_fault.Pin_sa (1, _) -> true
+        | _ -> false
+      in
+      let ok =
+        match r.Gate_fault.status with
+        | Gate_fault.Redundant -> unread
+        | Gate_fault.Detected_atpg _ -> not unread
+        | _ -> false
+      in
+      if not ok then
+        Alcotest.failf "%s is %s" (Gate_fault.describe m f)
+          (Gate_fault.status_name r.Gate_fault.status))
+    results;
+  Alcotest.(check int) "unread instance: 6 redundant" 6
+    s.Gate_fault.g_redundant;
+  Alcotest.(check int) "one solve per detected fault" s.Gate_fault.g_atpg
+    stats.Solver.sat_solves;
+  ignore (atpg_agrees_with_cec "hand" m results)
 
 (* ---- static testability ---- *)
 
@@ -478,6 +556,7 @@ let () =
           Alcotest.test_case "atpg bookkeeping" `Quick test_atpg_bookkeeping;
           Alcotest.test_case "atpg engines agree" `Quick
             test_atpg_engines_agree;
+          Alcotest.test_case "atpg cone edges" `Quick test_atpg_cone_edges;
         ] );
       ( "testability",
         [

@@ -292,6 +292,94 @@ let test_incremental_matches_full_matrix () =
         Cell_netlist.all_families)
     Bench_suite.all
 
+(* The word-parallel cell kernel equals the bit-serial reference
+   (test/mapped_ref.ml) on random cells: arity 0-6, tables with junk
+   above bit 2^k that may ignore their top fanins, and fanins driven by
+   inputs, instances or constants, each possibly negated. *)
+let gen_cell =
+  let open QCheck.Gen in
+  let n_pi = 4 and n_inst = 3 in
+  let gen_net =
+    map2
+      (fun driver negated -> { Mapped.driver; negated })
+      (oneof
+         [
+           map (fun i -> Mapped.Pi i) (int_bound (n_pi - 1));
+           map (fun j -> Mapped.Inst j) (int_bound (n_inst - 1));
+           map (fun b -> Mapped.Const b) bool;
+         ])
+      bool
+  in
+  int_range 0 6 >>= fun k ->
+  int_range 0 k >>= fun support ->
+  int64 >>= fun w ->
+  int64 >>= fun junk ->
+  array_size (return k) gen_net >>= fun fanins ->
+  array_size (return n_pi) int64 >>= fun words ->
+  array_size (return n_inst) int64 >>= fun vals ->
+  (* a table over the low [support] fanins, junk above its 2^k bits *)
+  let low = (Tt.words (Tt.of_bits support w)).(0) in
+  let mask =
+    if k = 6 then -1L else Int64.pred (Int64.shift_left 1L (1 lsl k))
+  in
+  let tt = Int64.(logor (logand low mask) (logand junk (lognot mask))) in
+  let inst =
+    {
+      Mapped.cell_name = "cell";
+      area = 1.0;
+      delay = 1.0;
+      drive = None;
+      fanin_caps = [||];
+      fanins;
+      tt;
+      cover = None;
+    }
+  in
+  return (words, vals, inst)
+
+let print_cell (_, _, (inst : Mapped.instance)) =
+  Printf.sprintf "arity %d tt %016Lx fanins [%s]"
+    (Array.length inst.Mapped.fanins)
+    inst.Mapped.tt
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (n : Mapped.net) ->
+               (if n.Mapped.negated then "~" else "")
+               ^
+               match n.Mapped.driver with
+               | Mapped.Pi i -> Printf.sprintf "pi%d" i
+               | Mapped.Inst j -> Printf.sprintf "inst%d" j
+               | Mapped.Const b -> string_of_bool b)
+             inst.Mapped.fanins)))
+
+let prop_eval_instance_matches_reference =
+  QCheck.Test.make ~name:"eval_instance = bit-serial reference" ~count:2000
+    (QCheck.make ~print:print_cell gen_cell)
+    (fun (words, vals, inst) ->
+      Int64.equal
+        (Mapped.eval_instance words vals inst)
+        (Mapped_ref.eval_instance words vals inst))
+
+let test_simulate_matches_reference () =
+  let rng = Rand64.create 17L in
+  List.iter
+    (fun (e : Bench_suite.entry) ->
+      let aig = Synth.light (e.Bench_suite.build ()) in
+      List.iter
+        (fun lib ->
+          let m = Mapper.map lib aig in
+          for _ = 1 to 2 do
+            let words =
+              Array.init m.Mapped.num_inputs (fun _ -> Rand64.next rng)
+            in
+            if Mapped.simulate m words <> Mapped_ref.simulate m words then
+              Alcotest.failf "%s/%s: simulate differs from the reference"
+                e.Bench_suite.name (Cell_lib.name lib)
+          done)
+        [ lib_static; lib_cmos ])
+    Bench_suite.all
+
 let test_genlib_roundtrip_library () =
   (* write the static library to genlib, parse it back, map with it:
      stats must be identical *)
@@ -336,5 +424,11 @@ let () =
             test_failing_map_leaves_no_domain;
           Alcotest.test_case "incremental = full matrix" `Slow
             test_incremental_matches_full_matrix;
+        ] );
+      ( "simulation",
+        [
+          QCheck_alcotest.to_alcotest prop_eval_instance_matches_reference;
+          Alcotest.test_case "simulate = reference (suite)" `Quick
+            test_simulate_matches_reference;
         ] );
     ]
