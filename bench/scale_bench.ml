@@ -2,8 +2,8 @@
    (wide array multipliers/dividers, deep Feistel rounds), runs the
    [b; rw; map] pipeline at several within-circuit domain counts, and
    writes BENCH_scale.json — construction throughput (nodes/sec), wall
-   time per phase, the mapper's internal phase breakdown and re-eval
-   skip ratio, peak RSS, and the parallel speedup curve with a
+   time per phase, the mapper's internal phase breakdown and node
+   re-evaluation count, peak RSS, and the parallel speedup curve with a
    byte-identical-output check across all domain counts.
 
    Each (circuit, jobs) measurement runs in a forked child so peak RSS
@@ -55,17 +55,12 @@ type measurement = {
   required_ms : float;
   recover_ms : float;
   extract_ms : float;
-  reevals : int;   (** (node, pass) matching evaluations actually run *)
-  skips : int;     (** evaluations proven redundant and skipped *)
+  reevals : int;   (** (node, sweep) matching evaluations *)
   rss_kb : int;  (** child's peak RSS in kB; -1 where unavailable *)
   digest : string;  (** of the optimized AIG and the mapped netlist *)
 }
 
 let total m = m.bal_ms +. m.rw_ms +. m.map_ms
-
-let skip_ratio m =
-  let d = m.reevals + m.skips in
-  if d = 0 then 0.0 else float_of_int m.skips /. float_of_int d
 
 (* Runs [f] in a forked child; the child prints one line to a pipe and
    exits, the parent returns the line. *)
@@ -122,7 +117,7 @@ let measure lib (e : Bench_suite.entry) jobs =
           match Cli_common.peak_rss_kb () with Some v -> v | None -> -1
         in
         Printf.sprintf
-          "%.6f %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f %d %d %d %s"
+          "%.6f %d %.6f %.6f %.6f %.6f %.6f %.6f %.6f %.6f %d %d %s"
           (1000.0 *. (t1 -. t0))
           ands
           (1000.0 *. (t2 -. t1))
@@ -130,15 +125,14 @@ let measure lib (e : Bench_suite.entry) jobs =
           (1000.0 *. (t4 -. t3))
           phase.Mapper.pm_cuts_ms phase.Mapper.pm_match_ms
           phase.Mapper.pm_required_ms phase.Mapper.pm_recover_ms
-          phase.Mapper.pm_extract_ms stats.Cut.reevals stats.Cut.reeval_skips
-          rss digest)
+          phase.Mapper.pm_extract_ms stats.Cut.reevals rss digest)
   in
-  Scanf.sscanf line "%f %d %f %f %f %f %f %f %f %f %d %d %d %s"
+  Scanf.sscanf line "%f %d %f %f %f %f %f %f %f %f %d %d %s"
     (fun build_ms ands bal_ms rw_ms map_ms cuts_ms match_ms required_ms
-         recover_ms extract_ms reevals skips rss_kb digest ->
+         recover_ms extract_ms reevals rss_kb digest ->
       {
         jobs; build_ms; ands; bal_ms; rw_ms; map_ms; cuts_ms; match_ms;
-        required_ms; recover_ms; extract_ms; reevals; skips; rss_kb; digest;
+        required_ms; recover_ms; extract_ms; reevals; rss_kb; digest;
       })
 
 let parse_ints ~what s =
@@ -194,13 +188,10 @@ let () =
             Printf.printf
               "%-12s ands=%-8d jobs=%d build=%8.1fms (%.0f nodes/s) \
                b=%8.1fms rw=%8.1fms map=%8.1fms (cuts=%.0f match=%.0f \
-               req=%.0f recover=%.0f extract=%.0f skip=%.0f%%) rss=%dkB \
-               x%.2f %s\n%!"
+               req=%.0f recover=%.0f extract=%.0f) rss=%dkB x%.2f %s\n%!"
               e.Bench_suite.name m.ands m.jobs m.build_ms nps m.bal_ms
               m.rw_ms m.map_ms m.cuts_ms m.match_ms m.required_ms
-              m.recover_ms m.extract_ms
-              (100.0 *. skip_ratio m)
-              m.rss_kb
+              m.recover_ms m.extract_ms m.rss_kb
               (total base /. total m)
               (if m.digest = base.digest then "identical" else "DIFFERS"))
           ms;
@@ -235,12 +226,10 @@ let () =
              \"rewrite_ms\": %.3f, \"map_ms\": %.3f, \"map_cuts_ms\": \
              %.3f, \"map_match_ms\": %.3f, \"map_required_ms\": %.3f, \
              \"map_recover_ms\": %.3f, \"map_extract_ms\": %.3f, \
-             \"match_reevals\": %d, \"match_skips\": %d, \"skip_ratio\": \
-             %.4f, \"total_ms\": %.3f, \"speedup\": %.3f, \
+             \"match_reevals\": %d, \"total_ms\": %.3f, \"speedup\": %.3f, \
              \"peak_rss_kb\": %s}"
             m.jobs cpus m.bal_ms m.rw_ms m.map_ms m.cuts_ms m.match_ms
-            m.required_ms m.recover_ms m.extract_ms m.reevals m.skips
-            (skip_ratio m) (total m)
+            m.required_ms m.recover_ms m.extract_ms m.reevals (total m)
             (total base /. total m)
             (json_rss m.rss_kb))
         ms;
@@ -259,18 +248,15 @@ let () =
       (fun () ->
         output_string oc
           "#bench\tands\tjobs\tcpus\tmap_ms\tcuts_ms\tmatch_ms\t\
-           required_ms\trecover_ms\textract_ms\tmatch_reevals\t\
-           match_skips\tskip_ratio\n";
+           required_ms\trecover_ms\textract_ms\tmatch_reevals\n";
         List.iter
           (fun (name, ms, _, _) ->
             List.iter
               (fun m ->
                 Printf.fprintf oc
-                  "%s\t%d\t%d\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t\
-                   %d\t%d\t%.4f\n"
+                  "%s\t%d\t%d\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%d\n"
                   name m.ands m.jobs cpus m.map_ms m.cuts_ms m.match_ms
-                  m.required_ms m.recover_ms m.extract_ms m.reevals
-                  m.skips (skip_ratio m))
+                  m.required_ms m.recover_ms m.extract_ms m.reevals)
               ms)
           rows);
     Printf.printf "wrote %s\n" !tsv

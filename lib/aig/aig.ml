@@ -363,24 +363,6 @@ let tt_of_lit t l =
   let leaves = Array.init t.ninputs (fun i -> i + 1) in
   tt_of_cut t l leaves
 
-let cone_size t root leaves =
-  let stop = Hashtbl.create 16 in
-  Array.iter (fun n -> Hashtbl.replace stop n ()) leaves;
-  let seen = Hashtbl.create 32 in
-  let count = ref 0 in
-  let rec go n =
-    if (not (Hashtbl.mem stop n)) && not (Hashtbl.mem seen n) then begin
-      Hashtbl.add seen n ();
-      if is_and t n then begin
-        incr count;
-        go (node_of t.fanin0.(n));
-        go (node_of t.fanin1.(n))
-      end
-    end
-  in
-  go root;
-  !count
-
 let extract t outs =
   let fresh = create ~size_hint:t.num () in
   let map = Hashtbl.create (t.num / 2) in

@@ -112,9 +112,6 @@ val tt_of_cut : t -> lit -> int array -> Tt.t
 (** [tt_of_cut t root leaves]: function of [root] expressed over the node
     ids [leaves] (at most 16), which must form a cut of [root]'s cone. *)
 
-val cone_size : t -> int -> int array -> int
-(** Number of AND nodes strictly inside the cone of a node above a cut. *)
-
 (** {1 Copying} *)
 
 val extract : t -> (string * lit) list -> t * (int, lit) Hashtbl.t

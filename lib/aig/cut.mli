@@ -27,10 +27,11 @@ val signature : int array -> int
     built nor dominated.  [refills] counts nodes whose bounded enumeration
     could not be certified exact and was re-run at full capacity.
     [probes] counts match-table lookups (filled in by the mapper).
-    [reevals] / [reeval_skips] count (node, pass) matching evaluations
-    performed vs. skipped by the mapper's exact dirty-propagation (also
-    filled in by the mapper; both are deterministic for every [jobs]
-    value). *)
+    [reevals] counts (node, sweep) matching evaluations: the mapper
+    re-evaluates every AND node in every sweep (also filled in by the
+    mapper; deterministic for every [jobs] value).  [reeval_skips] is
+    always 0: the mapper skips no evaluation, and the field stays only
+    for readers that still report it. *)
 type stats = {
   mutable built : int;
   mutable dominated : int;

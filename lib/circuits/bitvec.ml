@@ -103,7 +103,6 @@ let ult g a b =
 
 let parity g v = Array.fold_left (Aig.mk_xor g) Aig.lit_false v
 let reduce_or g v = Array.fold_left (Aig.mk_or g) Aig.lit_false v
-let reduce_and g v = Array.fold_left (Aig.mk_and g) Aig.lit_true v
 
 let shift_left g v amount =
   let n = width v in
@@ -131,9 +130,5 @@ let shift_right g v amount =
       cur := mux g s shifted !cur)
     amount;
   !cur
-
-let rotate_left1 v =
-  let n = width v in
-  Array.init n (fun i -> v.((i + n - 1) mod n))
 
 let select v idxs = Array.of_list (List.map (fun i -> v.(i)) idxs)

@@ -41,12 +41,10 @@ val ult : Aig.t -> t -> t -> Aig.lit
 
 val parity : Aig.t -> t -> Aig.lit
 val reduce_or : Aig.t -> t -> Aig.lit
-val reduce_and : Aig.t -> t -> Aig.lit
 
 val shift_left : Aig.t -> t -> t -> t
 (** Barrel shifter: shift amount is a (small) bit vector. *)
 
 val shift_right : Aig.t -> t -> t -> t
-val rotate_left1 : t -> t
 val select : t -> int list -> t
 (** Pick bits by index (permutation/expansion networks). *)

@@ -7,13 +7,6 @@ let netlist_family = function
   | `Pass_static -> Cell_netlist.Pass_static
   | `Cmos -> Cell_netlist.Cmos
 
-let of_netlist_family = function
-  | Cell_netlist.Tg_static -> `Tg_static
-  | Cell_netlist.Tg_pseudo -> `Tg_pseudo
-  | Cell_netlist.Pass_pseudo -> `Pass_pseudo
-  | Cell_netlist.Pass_static -> `Pass_static
-  | Cell_netlist.Cmos -> `Cmos
-
 let library family = Cell_lib.cached (netlist_family family)
 
 type result = {

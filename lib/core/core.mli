@@ -14,7 +14,6 @@
 type family = [ `Tg_static | `Tg_pseudo | `Pass_pseudo | `Pass_static | `Cmos ]
 
 val netlist_family : family -> Cell_netlist.family
-val of_netlist_family : Cell_netlist.family -> family
 
 val library : family -> Cell_lib.t
 (** The characterized match library, served from the process-wide

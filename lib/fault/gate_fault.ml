@@ -73,11 +73,6 @@ let describe (m : Mapped.t) f =
 
 let const_word b = if b then -1L else 0L
 
-let cofactor_word tt v b =
-  let t = Tt.of_words 6 [| tt |] in
-  let t' = if b then Tt.cofactor1 t v else Tt.cofactor0 t v in
-  (Tt.words t').(0)
-
 (* Structural injection: a copy of the netlist computing the faulty
    function.  The reference the packed simulator and the ATPG verdicts
    are tested against. *)
@@ -91,7 +86,7 @@ let inject (m : Mapped.t) f =
   | Pin_sa (j, p) ->
       instances.(j) <-
         { instances.(j) with
-          Mapped.tt = cofactor_word instances.(j).Mapped.tt p f.stuck }
+          Mapped.tt = Npn.cofactor instances.(j).Mapped.tt p f.stuck }
   | Pi_sa i ->
       Array.iteri
         (fun j (inst : Mapped.instance) ->
@@ -100,7 +95,7 @@ let inject (m : Mapped.t) f =
             (fun p (net : Mapped.net) ->
               match net.Mapped.driver with
               | Mapped.Pi k when k = i ->
-                  tt := cofactor_word !tt p (f.stuck <> net.Mapped.negated)
+                  tt := Npn.cofactor !tt p (f.stuck <> net.Mapped.negated)
               | _ -> ())
             inst.Mapped.fanins;
           if !tt <> inst.Mapped.tt then
@@ -175,7 +170,7 @@ let sim_fault (m : Mapped.t) cones words base_vals base_outs scratch f =
     | Pin_sa (j, p) ->
         let inst = m.Mapped.instances.(j) in
         let faulty =
-          { inst with Mapped.tt = cofactor_word inst.Mapped.tt p f.stuck }
+          { inst with Mapped.tt = Npn.cofactor inst.Mapped.tt p f.stuck }
         in
         scratch.(j) <- Mapped.eval_instance words scratch faulty;
         (words, cones.fanout.(j), Some j)
@@ -338,7 +333,7 @@ let atpg (m : Mapped.t) cones ~conflict_budget ?stats () =
             (match f.site with
             | Out_sa j when j = k -> const_lit f.stuck
             | Pin_sa (j, p) when j = k ->
-                encode good_net (cofactor_word inst.Mapped.tt p f.stuck)
+                encode good_net (Npn.cofactor inst.Mapped.tt p f.stuck)
             | _ -> encode bad_net inst.Mapped.tt))
         cone;
       (* activation: the good value at the site is not the stuck value *)

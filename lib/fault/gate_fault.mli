@@ -46,6 +46,12 @@ val faults_of : Mapped.t -> fault array
 
 val describe : Mapped.t -> fault -> string
 
+val const_word : bool -> int64
+(** The pattern word of a line stuck at [b]: all ones or all zeros.  With
+    {!Npn.cofactor} for a stuck cell pin, these are the stuck-at semantics
+    that {!inject}, the fault simulator, the ATPG miter and
+    {!Testability} share. *)
+
 val inject : Mapped.t -> fault -> Mapped.t
 (** A copy of the netlist computing the faulty function (stuck values are
     folded into instance truth tables / output nets).  The copy simulates

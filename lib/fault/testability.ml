@@ -27,12 +27,6 @@
 
 (* ---------------- lines and netlist indexing ---------------- *)
 
-let line_of_net (m : Mapped.t) (net : Mapped.net) =
-  match net.Mapped.driver with
-  | Mapped.Pi i -> Some i
-  | Mapped.Inst j -> Some (m.Mapped.num_inputs + j)
-  | Mapped.Const _ -> None
-
 (* readers.(l): consumer (instance, pin) pairs of line l;
    po_reads.(l): number of primary outputs reading line l directly *)
 type wiring = {
@@ -73,21 +67,6 @@ let wiring_of (m : Mapped.t) =
   { ni; nlines; readers; po_reads }
 
 let tt_bit tt a = Int64.to_int (Int64.logand (Int64.shift_right_logical tt a) 1L)
-
-let const_word b = if b then -1L else 0L
-
-let cofactor_word tt v b =
-  let t = Tt.of_words 6 [| tt |] in
-  let t' = if b then Tt.cofactor1 t v else Tt.cofactor0 t v in
-  (Tt.words t').(0)
-
-let popcount64 x =
-  let c = ref 0 and w = ref x in
-  while !w <> 0L do
-    w := Int64.logand !w (Int64.sub !w 1L);
-    incr c
-  done;
-  !c
 
 (* ---------------- SCOAP ---------------- *)
 
@@ -562,10 +541,10 @@ let analyze ?(learn = true) (m : Mapped.t) =
         (fun stuck ->
           for p = 0 to k - 1 do
             err.(pin_idx lay j p stuck) <-
-              Some (Int64.logxor tt (cofactor_word tt p stuck))
+              Some (Int64.logxor tt (Npn.cofactor tt p stuck))
           done;
           err.(out_idx m lay j stuck) <-
-            Some (Int64.logxor tt (const_word stuck)))
+            Some (Int64.logxor tt (Gate_fault.const_word stuck)))
         [ false; true ])
     m.Mapped.instances;
   (* ---- equivalence ---- *)
@@ -686,11 +665,11 @@ let analyze ?(learn = true) (m : Mapped.t) =
               else None
         in
         match const_seen with
-        | Some b -> tt := cofactor_word !tt q b
+        | Some b -> tt := Npn.cofactor !tt q b
         | None -> ()
       end
     done;
-    Int64.equal (cofactor_word !tt p false) (cofactor_word !tt p true)
+    Int64.equal (Npn.cofactor !tt p false) (Npn.cofactor !tt p true)
   in
   let line_blocked l =
     w.po_reads.(l) = 0
@@ -1043,10 +1022,10 @@ let cell_cost (c : Cell_lib.cell) =
     for p = 0 to k - 1 do
       let d =
         Int64.logxor
-          (cofactor_word c.Cell_lib.tt p false)
-          (cofactor_word c.Cell_lib.tt p true)
+          (Npn.cofactor c.Cell_lib.tt p false)
+          (Npn.cofactor c.Cell_lib.tt p true)
       in
-      let s = float_of_int (popcount64 d) /. 64.0 in
+      let s = float_of_int (Tt.count_ones (Tt.of_words 6 [| d |])) /. 64.0 in
       pen := !pen +. ((if s > 0.0 then 1.0 /. s else 128.0) -. 1.0)
     done;
     c.Cell_lib.area *. (1.0 +. (!pen /. (8.0 *. float_of_int (k + 1))))

@@ -57,9 +57,6 @@ type scoap = {
           the output depend on the pin. *)
 }
 
-val line_of_net : Mapped.t -> Mapped.net -> int option
-(** The line a net reads, if any ([None] for constants). *)
-
 val scoap_of : Mapped.t -> scoap
 
 (** {1 Collapsing and redundancy} *)

@@ -765,7 +765,6 @@ let cut_tt_merges s = cut_counter (fun c -> c.Cut.tt_merges) s
 let cut_refills s = cut_counter (fun c -> c.Cut.refills) s
 let cut_probes s = cut_counter (fun c -> c.Cut.probes) s
 let cut_reevals s = cut_counter (fun c -> c.Cut.reevals) s
-let cut_reeval_skips s = cut_counter (fun c -> c.Cut.reeval_skips) s
 
 (* GC words as integers: the float counters are exact below 2^53 *)
 let gc_words_str f s =
@@ -816,7 +815,7 @@ let samples_tsv_header =
   "#circuit\tfamily\tpass\twall_ms\tands_in\tands_out\tdepth_in\tdepth_out\t\
    gates\tarea\tnorm_delay\tabs_ps\tsta_ps\tcache\tcuts_built\t\
    cuts_dominated\tsign_rejects\ttt_merges\tcut_refills\tmatch_probes\t\
-   match_reevals\tmatch_skips\tfaults\t\
+   match_reevals\tfaults\t\
    fault_cov\tfault_unknown\ttb_classes\ttb_collapsed\ttb_redundant\t\
    sat_solves\tsat_conflicts\tsat_props\tsat_restarts\tsat_learned\t\
    gc_minor_words\tgc_major_words\tgc_compactions\tnew_diags"
@@ -824,8 +823,7 @@ let samples_tsv_header =
 let sample_to_tsv s =
   Printf.sprintf
     "%s\t%s\t%s\t%.3f\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\
-     %s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\
-     %d"
+     %s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d"
     s.sm_circuit s.sm_family s.sm_pass (1000.0 *. s.sm_wall_s) s.sm_ands_before
     s.sm_ands_after s.sm_depth_before s.sm_depth_after
     (match s.sm_mapped with
@@ -846,7 +844,6 @@ let sample_to_tsv s =
     (iopt (cut_refills s))
     (iopt (cut_probes s))
     (iopt (cut_reevals s))
-    (iopt (cut_reeval_skips s))
     (iopt (Option.map (fun f -> f.Gate_fault.g_total) s.sm_fault))
     (fault_cov_str s)
     (iopt (Option.map (fun f -> f.Gate_fault.g_unknown) s.sm_fault))
@@ -898,9 +895,9 @@ let samples_to_json samples =
             Printf.sprintf
               "{\"built\":%d,\"dominated\":%d,\"sign_rejects\":%d,\
                \"tt_merges\":%d,\"refills\":%d,\"probes\":%d,\
-               \"reevals\":%d,\"reeval_skips\":%d}"
+               \"reevals\":%d}"
               c.Cut.built c.Cut.dominated c.Cut.sign_rejects c.Cut.tt_merges
-              c.Cut.refills c.Cut.probes c.Cut.reevals c.Cut.reeval_skips)
+              c.Cut.refills c.Cut.probes c.Cut.reevals)
         (match s.sm_fault with
         | None -> "null"
         | Some f ->

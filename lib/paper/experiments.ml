@@ -38,13 +38,6 @@ let render_table1 () =
 
 (* ---------------- Table 2 ---------------- *)
 
-type t2_row = {
-  gate : string;
-  family : Cell_netlist.family;
-  computed : Charlib.row;
-  published : Paper_data.gate_char option;
-}
-
 let published_of family gate =
   let row = Paper_data.table2_find gate in
   match family with
@@ -59,20 +52,6 @@ let table2_families =
      it); the paper prints no column for it, so it appears computed-only. *)
   [ Cell_netlist.Tg_static; Cell_netlist.Tg_pseudo; Cell_netlist.Pass_pseudo;
     Cell_netlist.Pass_static; Cell_netlist.Cmos ]
-
-let run_table2 () =
-  List.concat_map
-    (fun family ->
-      List.map
-        (fun (r : Charlib.row) ->
-          {
-            gate = r.Charlib.name;
-            family;
-            computed = r;
-            published = published_of family r.Charlib.name;
-          })
-        (Charlib.characterize_catalog family))
-    table2_families
 
 let render_table2 () =
   let b = Buffer.create 16384 in

@@ -32,14 +32,6 @@ val render_table1 : unit -> string
 
 (** {1 Table 2} *)
 
-type t2_row = {
-  gate : string;
-  family : Cell_netlist.family;
-  computed : Charlib.row;
-  published : Paper_data.gate_char option;
-}
-
-val run_table2 : unit -> t2_row list
 val render_table2 : unit -> string
 
 (** {1 Table 3 / Figure 6} *)

@@ -103,7 +103,6 @@ type t = {
   mutable propagations : int;
   mutable restarts : int;
   mutable learned_total : int;
-  mutable gc_runs : int;
 }
 
 let create () =
@@ -135,7 +134,6 @@ let create () =
     propagations = 0;
     restarts = 0;
     learned_total = 0;
-    gc_runs = 0;
   }
 
 let num_vars s = s.nvars
@@ -144,7 +142,6 @@ let num_decisions s = s.decisions
 let num_propagations s = s.propagations
 let num_restarts s = s.restarts
 let num_learned s = s.learned_total
-let num_gc_runs s = s.gc_runs
 let unsat_core s = s.core
 
 let stats_of s =
@@ -462,22 +459,28 @@ let add_clause s lits =
   if s.ok then begin
     (* Incremental use: undo any model left by a previous [solve]. *)
     backtrack s 0;
-    (* Level-0 simplification: drop false literals, detect satisfied or
-       tautological clauses, deduplicate. *)
-    let lits = List.sort_uniq compare lits in
-    let tauto =
-      List.exists (fun l -> List.mem (lit_not l) lits) lits
-      || List.exists (fun l -> lit_value s l = 1) lits
+    (* Level-0 simplification in one scan of the sorted literals, where
+       [l] and [lit_not l] are adjacent: drop duplicates and false
+       literals; a complementary pair or a true literal satisfies the
+       clause ([None]). *)
+    let rec scan prev acc = function
+      | [] -> Some (List.rev acc)
+      | l :: rest -> (
+          if l = prev then scan prev acc rest
+          else if l = lit_not prev then None
+          else
+            match lit_value s l with
+            | 1 -> None
+            | 0 -> scan l acc rest
+            | _ -> scan l (l :: acc) rest)
     in
-    if not tauto then begin
-      let lits = List.filter (fun l -> lit_value s l <> 0) lits in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-          enqueue s l (-1);
-          if propagate s >= 0 then s.ok <- false
-      | lits -> ignore (push_clause s ~learned:false ~lbd:0 lits)
-    end
+    match scan (-1) [] (List.sort Int.compare lits) with
+    | None -> ()
+    | Some [] -> s.ok <- false
+    | Some [ l ] ->
+        enqueue s l (-1);
+        if propagate s >= 0 then s.ok <- false
+    | Some lits -> ignore (push_clause s ~learned:false ~lbd:0 lits)
   end
 
 (* A learned clause is locked while it is the reason of its slot-0
@@ -554,7 +557,6 @@ let reduce_db s =
     attach s !cref;
     cref := !cref + 2 + clause_size s !cref
   done;
-  s.gc_runs <- s.gc_runs + 1;
   s.max_learnts <- s.max_learnts + (s.max_learnts / 2)
 
 exception Finished of result

@@ -85,6 +85,3 @@ val num_decisions : t -> int
 val num_propagations : t -> int
 val num_restarts : t -> int
 val num_learned : t -> int
-
-val num_gc_runs : t -> int
-(** Learned-database compactions performed so far. *)

@@ -7,7 +7,6 @@ type params = {
   timing : bool;
   cost : (Cell_lib.cell -> float) option;
   jobs : int;
-  incremental : bool;
 }
 
 let default_params =
@@ -17,7 +16,6 @@ let default_params =
     timing = false;
     cost = None;
     jobs = 1;
-    incremental = true;
   }
 
 type phase_ms = {
@@ -79,10 +77,8 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   (* Load-aware cost (timing mode): a cell rooted at [nd] will drive
      roughly one average library pin per internal AIG fanout, plus the
      reference output load (the model's [po_fanout] inverters) per primary
-     output — a pre-cover estimate of the final netlist load, refined
-     nowhere (the cover isn't known during matching).  Classic mode charges
-     the fixed unit-load FO4. *)
-  let timing_on = params.timing in
+     output — the estimate [measure_loads] keeps for slots outside the
+     cover. *)
   let avg_cin =
     match Cell_lib.avg_pin_cap lib with Some c -> c | None -> 1.0
   in
@@ -107,25 +103,20 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
     let po = po_f.(nd) in
     (Float.max 0.0 (refs_f.(nd) -. po) *. avg_cin) +. (po *. 4.0 *. cref)
   in
-  (* Once a full cover exists, [measure_loads] replaces the a-priori
-     estimate with the loads the chosen cover actually presents; until
-     then the estimate stands. *)
-  let loads_cur = ref None in
-  let node_load nd p =
-    match !loads_cur with Some a -> a.(nd).(p) | None -> est_load nd
-  in
   let cell_delay_loaded (c : Cell_lib.cell) load =
     match c.Cell_lib.timing with
     | Some tm -> Charlib.drive_delay tm.Charlib.drive ~load
     | None -> c.Cell_lib.delay
   in
-  (* The first delay pass always runs with the legacy fixed-FO4 cost, so
-     timing mode starts from exactly the cover the default mode produces;
-     load-aware refinement switches this on afterwards. *)
-  let use_loads = ref false in
+  (* The loads every (node, phase) slot drives, once timing mode has
+     measured them on a full cover ([measure_loads]).  Until then — always,
+     outside timing mode — a cell is charged its fixed unit-load FO4, so
+     timing mode starts from exactly the cover the default mode produces. *)
+  let loads = ref None in
   let cell_delay_at nd p c =
-    if timing_on && !use_loads then cell_delay_loaded c (node_load nd p)
-    else c.Cell_lib.delay
+    match !loads with
+    | Some a -> cell_delay_loaded c a.(nd).(p)
+    | None -> c.Cell_lib.delay
   in
   let inv_delay_at nd p =
     match inv with Some c -> cell_delay_at nd p c | None -> infinity_f
@@ -199,11 +190,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
      the ranges [gpos_off.(g), +gpos_len.(g)) / [gneg_off.(g),
      +gneg_len.(g)) of the flat entry arrays, with the per-entry phase,
      fixed delay and covering cost mirrored into scalar arrays so the
-     hot loop touches no heap records.
-
-     dleaf_off/dleaf_buf hold each node's deduplicated union of
-     candidate support leaves — the exact read set of a re-evaluation,
-     used by the incremental pass-skipping dirty check. *)
+     hot loop touches no heap records. *)
   let climit = cut_limit in
   let t0 = now () in
   (* Candidate iterator, canonical order; [kf m s key sup leaf_at]: m
@@ -219,48 +206,29 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
       end
     done
   in
-  (* Pass A (parallel): count candidates, leaf words and deduped support
-     union per node; pass B (parallel) re-enumerates and fills the
-     disjoint per-node ranges.  Counting twice avoids materializing the
-     seed's transient per-node lists next to the arena. *)
+  (* Pass A (parallel): count candidates and leaf words per node; pass B
+     (parallel) re-enumerates and fills the disjoint per-node ranges.
+     Counting twice avoids materializing the seed's transient per-node
+     lists next to the arena. *)
   let c_cnt = Array.make n 0 in
   let l_cnt = Array.make n 0 in
-  let d_cnt = Array.make n 0 in
   let jobs = params.jobs in
-  let uscratch =
-    Array.init (Par.width ~jobs) (fun _ -> Array.make ((6 * climit) + 8) 0)
-  in
-  Par.run ~jobs ~n (fun w lo hi ->
-      let us = uscratch.(w) in
+  Par.run ~jobs ~n (fun _ lo hi ->
       for nd = lo to hi - 1 do
         if Aig.is_and aig nd then begin
-          let nc = ref 0 and nl = ref 0 and nu = ref 0 in
-          iter_cands nd (fun m s _key sup leaf_at ->
+          let nc = ref 0 and nl = ref 0 in
+          iter_cands nd (fun m s _key _sup _leaf_at ->
               incr nc;
-              nl := !nl + m + (if s < m then s else 0);
-              for i = 0 to s - 1 do
-                let lf = leaf_at sup.(i) in
-                let j = ref 0 in
-                while !j < !nu && us.(!j) <> lf do
-                  incr j
-                done;
-                if !j = !nu then begin
-                  us.(!nu) <- lf;
-                  incr nu
-                end
-              done);
+              nl := !nl + m + (if s < m then s else 0));
           c_cnt.(nd) <- !nc;
-          l_cnt.(nd) <- !nl;
-          d_cnt.(nd) <- !nu
+          l_cnt.(nd) <- !nl
         end
       done);
   let cand_off = Array.make (n + 1) 0 in
   let l_off = Array.make (n + 1) 0 in
-  let dleaf_off = Array.make (n + 1) 0 in
   for nd = 0 to n - 1 do
     cand_off.(nd + 1) <- cand_off.(nd) + c_cnt.(nd);
-    l_off.(nd + 1) <- l_off.(nd) + l_cnt.(nd);
-    dleaf_off.(nd + 1) <- dleaf_off.(nd) + d_cnt.(nd)
+    l_off.(nd + 1) <- l_off.(nd) + l_cnt.(nd)
   done;
   let ncand = cand_off.(n) in
   let cand_arity = Bytes.make (max 1 ncand) '\000' in
@@ -272,12 +240,10 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   let cand_olo = Array.make (max 1 ncand) 0 in
   let cand_olen = Array.make (max 1 ncand) 0 in
   let leaf_buf = Array.make (max 1 l_off.(n)) 0 in
-  let dleaf_buf = Array.make (max 1 dleaf_off.(n)) 0 in
-  Par.run ~jobs ~n (fun w lo hi ->
-      let us = uscratch.(w) in
+  Par.run ~jobs ~n (fun _ lo hi ->
       for nd = lo to hi - 1 do
         if Aig.is_and aig nd then begin
-          let c = ref cand_off.(nd) and lp = ref l_off.(nd) and nu = ref 0 in
+          let c = ref cand_off.(nd) and lp = ref l_off.(nd) in
           iter_cands nd (fun m s key sup leaf_at ->
               let ci = !c in
               incr c;
@@ -295,21 +261,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
                   leaf_buf.(!lp + m + i) <- leaf_at sup.(i)
                 done
               end;
-              lp := !lp + m + (if s < m then s else 0);
-              for i = 0 to s - 1 do
-                let lf = leaf_at sup.(i) in
-                let j = ref 0 in
-                while !j < !nu && us.(!j) <> lf do
-                  incr j
-                done;
-                if !j = !nu then begin
-                  us.(!nu) <- lf;
-                  incr nu
-                end
-              done);
-          for i = 0 to !nu - 1 do
-            dleaf_buf.(dleaf_off.(nd) + i) <- us.(i)
-          done
+              lp := !lp + m + (if s < m then s else 0))
         end
       done);
   (* Pass C (sequential): assign entry groups and resolve the library
@@ -367,40 +319,10 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   in
   let ent_cost = Array.map (fun e -> cell_cost e.Cell_lib.cell) ent in
   let t_cuts = now () -. t0 in
-  (* ---- incremental pass re-evaluation ----
-     A matching pass recomputes each slot from its candidate leaves'
-     current (arrival, flow) plus, in area mode, the node's effective
-     required time.  If none of those inputs changed since the previous
-     pass, recomputation is the identity, so the node is skipped — an
-     exact criterion, hence bit-identical covers (asserted by the
-     differential test).  [changed] marks nodes whose slot values
-     actually changed in the current sweep; leaves are processed before
-     consumers, so dirtiness propagates transitively within one sweep.
-     [req_seen] holds last area pass's effective required times
-     (neg_infinity sentinel: the first area pass is fully dirty).
-     Delay-objective sweeps always evaluate (they follow an objective or
-     load change), and timing mode disables skipping entirely: its load
-     fixed-point rewrites the cost model between sweeps. *)
-  let force_full = (not params.incremental) || timing_on in
-  let changed = Bytes.make n '\000' in
-  let req_seen = Array.make nslots neg_infinity in
-  let rec req_changed ra t base p =
-    if p >= nph then false
-    else
-      let r = ra.(base + p) in
-      let e = if r = infinity_f then t else r in
-      e <> req_seen.(base + p) || req_changed ra t base (p + 1)
-  in
-  let rec leaves_changed i hi =
-    if i >= hi then false
-    else
-      Bytes.get changed dleaf_buf.(i) <> '\000' || leaves_changed (i + 1) hi
-  in
   (* Hot-loop scratch, so matching allocates nothing: fa.(0,1) best
-     (arrival, flow); fa.(2,3) candidate (arrival, flow); fa.(4..7) the
-     node's slot values before re-evaluation (change detection);
-     fi.(0,1) best (ch1, ch2). *)
-  let fa = Array.make 8 0.0 and fi = Array.make 2 0 in
+     (arrival, flow); fa.(2,3) candidate (arrival, flow); fi.(0,1) best
+     (ch1, ch2). *)
+  let fa = Array.make 4 0.0 and fi = Array.make 2 0 in
   (* Candidate-vs-best comparison; epsilons as in the seed.  `Delay:
      lexicographic (arrival, flow); `Area: minimize flow subject to
      arrival <= req. *)
@@ -427,123 +349,90 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
      bridging.  [reqm] is [None] for a delay-objective sweep or
      [Some (required-times, t)] for area recovery. *)
   let process reqm nd =
+    stats.Cut.reevals <- stats.Cut.reevals + 1;
     let base = nd * nph in
-    let must =
-      force_full
-      ||
-      match reqm with
-      | None -> true
-      | Some (ra, t) ->
-          req_changed ra t base 0
-          || leaves_changed dleaf_off.(nd) dleaf_off.(nd + 1)
-    in
-    if not must then stats.Cut.reeval_skips <- stats.Cut.reeval_skips + 1
-    else begin
-      stats.Cut.reevals <- stats.Cut.reevals + 1;
-      fa.(4) <- arrival.(base);
-      fa.(5) <- flow.(base);
-      if nph = 2 then begin
-        fa.(6) <- arrival.(base + 1);
-        fa.(7) <- flow.(base + 1)
-      end;
-      for ph = 0 to nph - 1 do
-        let area, rq =
-          match reqm with
-          | None -> (false, 0.0)
-          | Some (ra, t) ->
-              let r = ra.(base + ph) in
-              let e = if r = infinity_f then t else r in
-              req_seen.(base + ph) <- e;
-              (true, e)
-        in
-        fa.(0) <- infinity_f;
-        fa.(1) <- infinity_f;
-        fi.(0) <- code_unmapped;
-        fi.(1) <- 0;
-        for c = cand_off.(nd) to cand_off.(nd + 1) - 1 do
-          let s = Bytes.get_uint8 cand_arity c in
-          if s = 1 then begin
-            (* wire or complement of a single leaf *)
-            let key = Bigarray.Array1.get cand_key c in
-            let want_key = if ph = 0 then key else Int64.lognot key in
-            let neg_leaf = want_key = tt_nvar0 in
-            if want_key = tt_var0 || neg_leaf then begin
-              let leaf = leaf_buf.(cand_slo.(c)) in
-              let lph = if neg_leaf then 1 else 0 in
-              let sx = (leaf * nph) + (lph land phm) in
-              consider area rq code_wire
-                ((leaf lsl 1) lor lph)
-                arrival.(sx)
-                (flow.(sx) /. refs_f.(leaf))
-            end
+    for ph = 0 to nph - 1 do
+      let area, rq =
+        match reqm with
+        | None -> (false, 0.0)
+        | Some (ra, t) ->
+            let r = ra.(base + ph) in
+            (true, if r = infinity_f then t else r)
+      in
+      fa.(0) <- infinity_f;
+      fa.(1) <- infinity_f;
+      fi.(0) <- code_unmapped;
+      fi.(1) <- 0;
+      for c = cand_off.(nd) to cand_off.(nd + 1) - 1 do
+        let s = Bytes.get_uint8 cand_arity c in
+        if s = 1 then begin
+          (* wire or complement of a single leaf *)
+          let key = Bigarray.Array1.get cand_key c in
+          let want_key = if ph = 0 then key else Int64.lognot key in
+          let neg_leaf = want_key = tt_nvar0 in
+          if want_key = tt_var0 || neg_leaf then begin
+            let leaf = leaf_buf.(cand_slo.(c)) in
+            let lph = if neg_leaf then 1 else 0 in
+            let sx = (leaf * nph) + (lph land phm) in
+            consider area rq code_wire
+              ((leaf lsl 1) lor lph)
+              arrival.(sx)
+              (flow.(sx) /. refs_f.(leaf))
           end
-          else if s >= 2 then begin
-            stats.Cut.probes <- stats.Cut.probes + 1;
-            let g = cand_gid.(c) in
-            let off = if ph = 0 then gpos_off.(g) else gneg_off.(g) in
-            let len = if ph = 0 then gpos_len.(g) else gneg_len.(g) in
-            let slo = cand_slo.(c) in
-            for ei = off to off + len - 1 do
-              (* hot loop of every matching pass: flat loads/stores
-                 only, no allocation *)
-              let ephase = ent_phase.(ei) in
-              fa.(2) <- 0.0;
-              fa.(3) <- ent_cost.(ei);
-              for i = 0 to s - 1 do
-                let leaf = leaf_buf.(slo + i) in
-                let sx = (leaf * nph) + ((ephase lsr i) land phm) in
-                let a = arrival.(sx) in
-                if a > fa.(2) then fa.(2) <- a;
-                fa.(3) <- fa.(3) +. (flow.(sx) /. refs_f.(leaf))
-              done;
-              let d =
-                if timing_on && !use_loads then
-                  cell_delay_loaded ent.(ei).Cell_lib.cell (node_load nd ph)
-                else ent_delay.(ei)
-              in
-              consider area rq c ei (fa.(2) +. d) fa.(3)
-            done
-          end
-        done;
-        let six = base + ph in
-        ch1.(six) <- fi.(0);
-        ch2.(six) <- fi.(1);
-        arrival.(six) <- fa.(0);
-        flow.(six) <- fa.(1)
-      done;
-      (* inverter bridging between phases *)
-      if nph = 2 then begin
-        let i0 = base and i1 = base + 1 in
-        if arrival.(i1) +. inv_delay_at nd 0 < arrival.(i0) then begin
-          ch1.(i0) <- code_bridge;
-          arrival.(i0) <- arrival.(i1) +. inv_delay_at nd 0;
-          flow.(i0) <- flow.(i1) +. inv_area
-        end;
-        if arrival.(i0) +. inv_delay_at nd 1 < arrival.(i1) then begin
-          ch1.(i1) <- code_bridge;
-          arrival.(i1) <- arrival.(i0) +. inv_delay_at nd 1;
-          flow.(i1) <- flow.(i0) +. inv_area
         end
+        else if s >= 2 then begin
+          stats.Cut.probes <- stats.Cut.probes + 1;
+          let g = cand_gid.(c) in
+          let off = if ph = 0 then gpos_off.(g) else gneg_off.(g) in
+          let len = if ph = 0 then gpos_len.(g) else gneg_len.(g) in
+          let slo = cand_slo.(c) in
+          for ei = off to off + len - 1 do
+            (* hot loop of every matching pass: flat loads/stores only, no
+               allocation *)
+            let ephase = ent_phase.(ei) in
+            fa.(2) <- 0.0;
+            fa.(3) <- ent_cost.(ei);
+            for i = 0 to s - 1 do
+              let leaf = leaf_buf.(slo + i) in
+              let sx = (leaf * nph) + ((ephase lsr i) land phm) in
+              let a = arrival.(sx) in
+              if a > fa.(2) then fa.(2) <- a;
+              fa.(3) <- fa.(3) +. (flow.(sx) /. refs_f.(leaf))
+            done;
+            let d =
+              match !loads with
+              | Some a -> cell_delay_loaded ent.(ei).Cell_lib.cell a.(nd).(ph)
+              | None -> ent_delay.(ei)
+            in
+            consider area rq c ei (fa.(2) +. d) fa.(3)
+          done
+        end
+      done;
+      let six = base + ph in
+      ch1.(six) <- fi.(0);
+      ch2.(six) <- fi.(1);
+      arrival.(six) <- fa.(0);
+      flow.(six) <- fa.(1)
+    done;
+    (* inverter bridging between phases *)
+    if nph = 2 then begin
+      let i0 = base and i1 = base + 1 in
+      if arrival.(i1) +. inv_delay_at nd 0 < arrival.(i0) then begin
+        ch1.(i0) <- code_bridge;
+        arrival.(i0) <- arrival.(i1) +. inv_delay_at nd 0;
+        flow.(i0) <- flow.(i1) +. inv_area
       end;
-      if
-        arrival.(base) <> fa.(4)
-        || flow.(base) <> fa.(5)
-        || (nph = 2
-           && (arrival.(base + 1) <> fa.(6) || flow.(base + 1) <> fa.(7)))
-      then Bytes.set changed nd '\001'
+      if arrival.(i0) +. inv_delay_at nd 1 < arrival.(i1) then begin
+        ch1.(i1) <- code_bridge;
+        arrival.(i1) <- arrival.(i0) +. inv_delay_at nd 1;
+        flow.(i1) <- flow.(i0) +. inv_area
+      end
     end
   in
-  (* A sweep visits the AND nodes in id order, which is topological:
-     every cut leaf has a smaller id than its root, so its slots are
-     final before any candidate reads them. *)
-  let delay_sweep () =
-    Bytes.fill changed 0 n '\000';
-    Aig.iter_ands aig (process None)
-  in
-  let area_sweep reqm =
-    Bytes.fill changed 0 n '\000';
-    Aig.iter_ands aig (process (Some reqm))
-  in
+  (* A sweep re-evaluates every AND node, in id order, which is
+     topological: every cut leaf has a smaller id than its root, so its
+     slots are final before any candidate reads them. *)
+  let sweep reqm = Aig.iter_ands aig (process reqm) in
   (* phase timing (wall clock; [Sys.time] is CPU time and lies at
      jobs > 1) *)
   let t_match = ref 0.0
@@ -551,7 +440,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
   and t_recover = ref 0.0 in
   (* delay-oriented pass *)
   let t1 = now () in
-  delay_sweep ();
+  sweep None;
   t_match := !t_match +. (now () -. t1);
   (* verify every node got mapped *)
   Aig.iter_ands aig (fun nd ->
@@ -760,7 +649,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
     let reqm = compute_required () in
     t_required := !t_required +. (now () -. tr);
     let ta = now () in
-    area_sweep reqm;
+    sweep (Some reqm);
     t_recover := !t_recover +. (now () -. ta)
   in
   for _ = 1 to params.area_passes do
@@ -773,18 +662,17 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
      Then recover area under the load-aware cost, slack-guarded: a pass
      that slows the measured critical delay is rolled back and recovery
      stops. *)
-  if timing_on then begin
+  if params.timing then begin
     let tr0 = now () in
     let best = ref (snapshot ()) and best_crit = ref (eval_cover ()) in
     t_required := !t_required +. (now () -. tr0);
-    use_loads := true;
     for _ = 1 to 2 do
       let tr = now () in
-      loads_cur := Some (measure_loads ());
+      loads := Some (measure_loads ());
       init_leaf_slots ();
       t_required := !t_required +. (now () -. tr);
       let tm = now () in
-      delay_sweep ();
+      sweep None;
       t_match := !t_match +. (now () -. tm);
       let tr2 = now () in
       let c = eval_cover () in
@@ -795,7 +683,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
       t_required := !t_required +. (now () -. tr2)
     done;
     restore !best;
-    loads_cur := Some (measure_loads ());
+    loads := Some (measure_loads ());
     init_leaf_slots ();
     let area_ok = ref true in
     for _ = 1 to params.area_passes do
@@ -807,7 +695,7 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
           area_ok := false
         end
         else begin
-          loads_cur := Some (measure_loads ());
+          loads := Some (measure_loads ());
           init_leaf_slots ()
         end
       end

@@ -14,13 +14,17 @@ type params = {
   cut_size : int;      (** K, at most 6 (the largest library pin count) *)
   area_passes : int;   (** required-time-driven area-recovery iterations *)
   timing : bool;
-      (** STA-backed timing mode: the delay-optimal cover and the
-          required-time feasibility checks of area recovery charge each
-          candidate cell its load-dependent delay
-          ({!Charlib.drive_delay}) at an estimated load of one average
-          library pin per AIG fanout, instead of the fixed unit-load FO4.
-          Cells without characterization fall back to the fixed delay.
-          Default [false] (the paper's convention). *)
+      (** STA-backed timing mode.  The mapper first builds the default
+          cover, charging every cell its fixed unit-load FO4.  It then
+          measures the load that cover presents to each (node, phase) —
+          one average library pin per AIG fanout for slots outside the
+          cover — and re-maps with each candidate cell charged its
+          load-dependent delay ({!Charlib.drive_delay}) at that load,
+          keeping the cover with the best measured critical delay; area
+          recovery then runs under the measured loads and a pass that
+          slows the critical delay is rolled back.  Both modes run the
+          same sweeps.  Cells without characterization fall back to the
+          fixed delay.  Default [false] (the paper's convention). *)
   cost : (Cell_lib.cell -> float) option;
       (** Pluggable covering cost (the opening move of the ROADMAP's
           cost-generic mapping refactor).  When set, this function replaces
@@ -40,17 +44,6 @@ type params = {
           topological order and run sequentially in node-id order.  The
           chosen cover — and hence the netlist — is byte-identical for
           every [jobs] value. *)
-  incremental : bool;
-      (** Incremental pass re-evaluation (default [true]).  An
-          area-recovery pass skips a node when none of its candidate
-          cuts' leaves changed their (arrival, flow) slot in the current
-          pass and its effective required times equal the previous
-          pass's — an exact criterion, so covers are bit-identical to
-          full re-evaluation ([false], which exists for differential
-          testing).  Skip/evaluate totals are reported in
-          {!Cut.stats.reeval_skips} / [reevals].  Timing mode always
-          re-evaluates fully (its load fixed-point rewrites the cost
-          model between passes). *)
 }
 
 val default_params : params
@@ -78,6 +71,7 @@ val map : ?params:params -> Cell_lib.t -> Aig.t -> Mapped.t
 val map_with_stats :
   ?params:params -> ?phase:phase_ms -> Cell_lib.t -> Aig.t -> Mapped.t * Cut.stats
 (** Same as {!map}, also returning the cut-enumeration counters of the
-    run, with [probes] (match-table lookups) and the [reevals] /
-    [reeval_skips] pair filled in by the mapper.  [phase] receives the
-    run's wall-clock breakdown (added into the record). *)
+    run, with [probes] (match-table lookups) and [reevals] (node
+    evaluations: every AND node in every matching sweep) filled in by the
+    mapper.  [phase] receives the run's wall-clock breakdown (added into
+    the record). *)

@@ -10,6 +10,15 @@ let flip t i =
            (shift_right_logical (logand t mask1.(i)) d)
            (shift_left (logand t mask0.(i)) d))
 
+let cofactor t i b =
+  let d = 1 lsl i in
+  if b then
+    let z = Int64.logand t mask1.(i) in
+    Int64.(logor z (shift_right_logical z d))
+  else
+    let z = Int64.logand t mask0.(i) in
+    Int64.(logor z (shift_left z d))
+
 let swap_adjacent t i =
   let d = 1 lsl i in
   let hi_lo = Int64.logand mask1.(i + 1) mask0.(i) in

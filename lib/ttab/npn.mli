@@ -9,6 +9,11 @@
 val flip : int64 -> int -> int64
 (** [flip t i] substitutes [NOT x_i] for variable [i] ([0 <= i < 6]). *)
 
+val cofactor : int64 -> int -> bool -> int64
+(** [cofactor t i b] substitutes the constant [b] for variable [i]
+    ([0 <= i < 6]): {!Tt.cofactor1} or {!Tt.cofactor0} on one word.  The
+    fault layer's stuck-at semantics for a cell pin. *)
+
 val swap_adjacent : int64 -> int -> int64
 (** [swap_adjacent t i] exchanges variables [i] and [i+1] ([0 <= i < 5]). *)
 

@@ -198,10 +198,6 @@ let support t =
 
 let support_size t = List.length (support t)
 
-let exists_tt t i = bor (cofactor0 t i) (cofactor1 t i)
-let forall_tt t i = band (cofactor0 t i) (cofactor1 t i)
-let exists t i = not (is_const0 (exists_tt t i))
-
 let flip t i =
   if i < 0 || i >= t.n then invalid_arg "Tt.flip";
   if i < 6 then

@@ -70,14 +70,10 @@ val support : t -> int list
 
 val support_size : t -> int
 
-(** {1 Cofactors and quantification} *)
+(** {1 Cofactors} *)
 
 val cofactor0 : t -> int -> t
 val cofactor1 : t -> int -> t
-val exists : t -> int -> bool
-(* [exists] as a table: *)
-val exists_tt : t -> int -> t
-val forall_tt : t -> int -> t
 
 (** {1 Variable manipulation} *)
 

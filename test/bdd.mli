@@ -1,9 +1,9 @@
 (** Reduced ordered binary decision diagrams.
 
     A small, self-contained ROBDD package with a unique table and an
-    ITE-based apply.  Used as an independent engine to crosscheck the truth
-    table and AIG code, and for equivalence checks on mid-size functions.
-    Node handles are only meaningful relative to their manager. *)
+    ITE-based apply.  Test code: [test_bdd] crosschecks it against the
+    truth-table code as an independent engine.  Node handles are only
+    meaningful relative to their manager. *)
 
 type man
 (** A manager: unique table, computed table, node store. *)

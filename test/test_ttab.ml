@@ -208,6 +208,16 @@ let prop_npn_variants =
           end);
       !ok)
 
+(* The word-level cofactor of the fault layer equals Tt's on every
+   variable of a random 6-input table. *)
+let prop_npn_cofactor =
+  QCheck.Test.make ~name:"cofactor matches Tt reference" ~count:200
+    (QCheck.make QCheck.Gen.(pair (int_range 0 5) bool))
+    (fun (i, b) ->
+      let t = random_tt 6 in
+      let r = if b then Tt.cofactor1 t i else Tt.cofactor0 t i in
+      Npn.cofactor (Tt.words t).(0) i b = (Tt.words r).(0))
+
 let prop_npn_canonical_invariant =
   QCheck.Test.make ~name:"canonical invariant under variants" ~count:20
     (QCheck.make QCheck.Gen.(int_range 1 4))
@@ -283,6 +293,7 @@ let () =
       ( "npn",
         [
           qt prop_npn_variants;
+          qt prop_npn_cofactor;
           qt prop_npn_canonical_invariant;
           Alcotest.test_case "class counts 2,3" `Quick test_npn_class_counts;
           Alcotest.test_case "class count 4" `Slow test_npn_class_count_4;
