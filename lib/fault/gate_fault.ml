@@ -3,14 +3,14 @@
    The classic single-stuck-at model at mapped-netlist granularity: every
    primary input, every instance output and every instance input pin can be
    stuck at 0 or 1.  Detection runs 64 random patterns per word
-   (Mapped.simulate_values gives the fault-free baseline once per round;
-   each live fault then only resimulates its fanout cone against a scratch
-   copy, with fault dropping; a cell evaluates over whole words at once),
-   and the survivors go to SAT-based ATPG: one small miter per fault,
-   holding a faulty copy of the fault's fanout cone only and the part of
-   the good netlist it reads, decided under a per-fault conflict budget
-   and degrading to Unknown — reported, never raised — when the budget
-   runs out. *)
+   (Mapped.simulate_values gives the fault-free baseline once per round; a
+   cell evaluates over whole words at once) with fault dropping, one
+   resimulation per fanout stem whose fanout-free region still holds a
+   live fault, and the survivors go to SAT-based ATPG: one small miter per
+   fault, holding a faulty copy of the fault's fanout cone only and the
+   part of the good netlist it reads, decided under a per-fault conflict
+   budget and degrading to Unknown — reported, never raised — when the
+   budget runs out. *)
 
 type site =
   | Pi_sa of int        (* primary input stuck *)
@@ -111,87 +111,219 @@ let inject (m : Mapped.t) f =
           m.Mapped.outputs);
   { m with Mapped.instances; Mapped.outputs = !outputs }
 
-(* ---------------- packed simulation ---------------- *)
+(* ---------------- the line graph ---------------- *)
 
-type cones = {
-  fanout : int list array;       (* instance -> consuming instances *)
-  pi_consumers : int list array; (* pi -> consuming instances *)
-  visited : int array;           (* epoch stamps *)
+(* A line is a value a fault can sit on: line [j] is instance [j]'s
+   output, line [n + i] primary input [i].  A root is a line read by an
+   output net, or by no cell or by two or more (a stem); every other line
+   is read by exactly one cell, [succ], on one pin or several, so its
+   value reaches the outputs only through that cell. *)
+type graph = {
+  n : int;                 (* instances *)
+  fanout : int list array; (* line -> consuming instances, each once *)
+  observed : bool array;   (* line -> read by some output net *)
+  succ : int array;        (* non-root line -> its one consumer; root -> -1 *)
+  visited : int array;     (* epoch stamps for [cone_of] *)
   mutable epoch : int;
 }
 
-let build_cones (m : Mapped.t) =
+let build_graph (m : Mapped.t) =
   let n = Array.length m.Mapped.instances in
-  let fanout = Array.make n [] in
-  let pi_consumers = Array.make m.Mapped.num_inputs [] in
+  let lines = n + m.Mapped.num_inputs in
+  let line_of (net : Mapped.net) =
+    match net.Mapped.driver with
+    | Mapped.Inst k -> k
+    | Mapped.Pi i -> n + i
+    | Mapped.Const _ -> -1
+  in
+  let fanout = Array.make lines [] in
   Array.iteri
     (fun j (inst : Mapped.instance) ->
       Array.iter
-        (fun (net : Mapped.net) ->
-          match net.Mapped.driver with
-          | Mapped.Inst k ->
-              if not (List.mem j fanout.(k)) then fanout.(k) <- j :: fanout.(k)
-          | Mapped.Pi i ->
-              if not (List.mem j pi_consumers.(i)) then
-                pi_consumers.(i) <- j :: pi_consumers.(i)
-          | Mapped.Const _ -> ())
+        (fun net ->
+          let l = line_of net in
+          (* consumers arrive in increasing index order, so a cell
+             reading [l] on two pins is already at the head *)
+          if l >= 0 then
+            match fanout.(l) with
+            | k :: _ when k = j -> ()
+            | ks -> fanout.(l) <- j :: ks)
         inst.Mapped.fanins)
     m.Mapped.instances;
-  { fanout; pi_consumers; visited = Array.make (max n 1) 0; epoch = 0 }
+  let observed = Array.make lines false in
+  Array.iter
+    (fun (_, net) ->
+      let l = line_of net in
+      if l >= 0 then observed.(l) <- true)
+    m.Mapped.outputs;
+  let succ =
+    Array.init lines (fun l ->
+        match fanout.(l) with [ j ] when not observed.(l) -> j | _ -> -1)
+  in
+  { n; fanout; observed; succ; visited = Array.make (max n 1) 0; epoch = 0 }
 
 (* topologically sorted transitive fanout closure of the seed instances
    (instances are emitted in topological index order) *)
-let cone_of cones seeds =
-  cones.epoch <- cones.epoch + 1;
-  let e = cones.epoch in
+let cone_of g seeds =
+  g.epoch <- g.epoch + 1;
+  let e = g.epoch in
   let acc = ref [] in
   let rec go j =
-    if cones.visited.(j) <> e then begin
-      cones.visited.(j) <- e;
+    if g.visited.(j) <> e then begin
+      g.visited.(j) <- e;
       acc := j :: !acc;
-      List.iter go cones.fanout.(j)
+      List.iter go g.fanout.(j)
     end
   in
   List.iter go seeds;
   List.sort compare !acc
 
-(* Simulate one fault against the baseline for this round.  [scratch] must
-   equal [base_vals]; it is restored before returning. *)
-let sim_fault (m : Mapped.t) cones words base_vals base_outs scratch f =
-  let words', seeds, injected =
-    match f.site with
-    | Pi_sa i ->
-        let w = Array.copy words in
-        w.(i) <- const_word f.stuck;
-        (w, cones.pi_consumers.(i), None)
-    | Out_sa j ->
-        scratch.(j) <- const_word f.stuck;
-        (words, cones.fanout.(j), Some j)
-    | Pin_sa (j, p) ->
-        let inst = m.Mapped.instances.(j) in
-        let faulty =
-          { inst with Mapped.tt = Npn.cofactor inst.Mapped.tt p f.stuck }
+(* The line a fault's difference starts from: a stuck pin changes only
+   its cell's output. *)
+let line_of_fault g f =
+  match f.site with
+  | Pi_sa i -> g.n + i
+  | Out_sa j | Pin_sa (j, _) -> j
+
+(* The lines whose path through single consumers ends at root [r] form
+   [r]'s fanout-free region; [root.(l)] names it. *)
+let roots g =
+  let lines = Array.length g.succ in
+  let root = Array.init lines Fun.id in
+  let settle l = if g.succ.(l) >= 0 then root.(l) <- root.(g.succ.(l)) in
+  (* a line's consumer has a larger instance index than any line it reads *)
+  for l = g.n - 1 downto 0 do settle l done;
+  for l = g.n to lines - 1 do settle l done;
+  root
+
+(* ---------------- stem-region simulation ---------------- *)
+
+(* One round's detection, region by region.  A difference word [d] at
+   line [l] of [r]'s region changes an output exactly on the bits of
+   [d & reach(l) & obs(r)]: [reach(l)] is the product of the Boolean
+   differences along [l]'s path to [r] (at each step, the change of the
+   consuming cell's output when the line it reads flips, on every pin
+   that reads it), and [obs(r)] is the output change when [r] itself
+   flips, which one event-driven resimulation of [r]'s fanout gives:
+   only cells whose inputs changed are evaluated.  An output net reading
+   [r] makes [obs(r)] all ones.  Every step is exact per pattern bit, so
+   this detects what resimulating each fault's whole cone did.  A stuck
+   pin's difference starts at its cell's output, as the cell with that
+   pin cofactored computes it.
+
+   [simulator m g faults ~detected] holds the per-analysis tables;
+   applied to a round's [words] and fault-free [vals], it gives a
+   function that takes a root and the live faults of its region (indices
+   into [faults]), calls [detected] on each this round detects and
+   returns the others. *)
+module Iset = Set.Make (Int)
+
+let simulator (m : Mapped.t) g faults ~detected =
+  let insts = m.Mapped.instances in
+  let n = g.n in
+  (* [stuck.(j).(2p + v)]: instance [j] with pin [p] stuck at [v] *)
+  let stuck =
+    Array.map
+      (fun (inst : Mapped.instance) ->
+        Array.init
+          (2 * Array.length inst.Mapped.fanins)
+          (fun c ->
+            let tt = Npn.cofactor inst.Mapped.tt (c / 2) (c land 1 = 1) in
+            { inst with Mapped.tt = tt }))
+      insts
+  in
+  let reach = Array.make (Array.length g.succ) 0L in
+  let reach_at = Array.make (Array.length g.succ) 0 in
+  let round = ref 0 in
+  fun ~words ~vals ->
+    incr round;
+    let q = !round in
+    (* equal to [words]/[vals] between the flips below *)
+    let cur_words = Array.copy words and cur = Array.copy vals in
+    let value l = if l < n then vals.(l) else words.(l - n) in
+    let set l v = if l < n then cur.(l) <- v else cur_words.(l - n) <- v in
+    let rec reach_of l =
+      let j = g.succ.(l) in
+      if j < 0 then -1L
+      else if reach_at.(l) = q then reach.(l)
+      else begin
+        let r = reach_of j in
+        let r =
+          if Int64.equal r 0L then 0L
+          else begin
+            set l (Int64.lognot (value l));
+            let v = Mapped.eval_instance cur_words cur insts.(j) in
+            set l (value l);
+            Int64.logand r (Int64.logxor v vals.(j))
+          end
         in
-        scratch.(j) <- Mapped.eval_instance words scratch faulty;
-        (words, cones.fanout.(j), Some j)
-  in
-  let cone = cone_of cones seeds in
-  List.iter
-    (fun k ->
-      scratch.(k) <-
-        Mapped.eval_instance words' scratch m.Mapped.instances.(k))
-    cone;
-  let detected =
-    (* output nets read PIs directly too, so compare against the faulty
-       words for PI faults *)
-    Array.exists2
-      (fun (_, net) base ->
-        not (Int64.equal (Mapped.net_value words' scratch net) base))
-      m.Mapped.outputs base_outs
-  in
-  List.iter (fun k -> scratch.(k) <- base_vals.(k)) cone;
-  (match injected with Some j -> scratch.(j) <- base_vals.(j) | None -> ());
-  detected
+        reach_at.(l) <- q;
+        reach.(l) <- r;
+        r
+      end
+    in
+    let diff f =
+      match f.site with
+      | Pi_sa i -> Int64.logxor words.(i) (const_word f.stuck)
+      | Out_sa j -> Int64.logxor vals.(j) (const_word f.stuck)
+      | Pin_sa (j, p) ->
+          let c = (2 * p) + if f.stuck then 1 else 0 in
+          Int64.logxor vals.(j)
+            (Mapped.eval_instance words vals stuck.(j).(c))
+    in
+    (* the output change when root [r] flips on the bits of [mask] *)
+    let observe r mask =
+      if g.observed.(r) then mask
+      else begin
+        (* the cells whose inputs changed, taken in index (topological)
+           order, each once *)
+        let add pending j = Iset.add j pending in
+        let pending = ref (List.fold_left add Iset.empty g.fanout.(r)) in
+        set r (Int64.logxor (value r) mask);
+        let obs = ref 0L and changed = ref [] in
+        (* differences only arise on [mask]: once it is all observed,
+           nothing further can add to it *)
+        while
+          (not (Iset.is_empty !pending)) && not (Int64.equal !obs mask)
+        do
+          let j = Iset.min_elt !pending in
+          pending := Iset.remove j !pending;
+          let v = Mapped.eval_instance cur_words cur insts.(j) in
+          let d = Int64.logxor v vals.(j) in
+          if not (Int64.equal d 0L) then begin
+            cur.(j) <- v;
+            changed := j :: !changed;
+            if g.observed.(j) then obs := Int64.logor !obs d;
+            pending := List.fold_left add !pending g.fanout.(j)
+          end
+        done;
+        set r (value r);
+        List.iter (fun j -> cur.(j) <- vals.(j)) !changed;
+        !obs
+      end
+    in
+    fun r live ->
+      let masked =
+        List.map
+          (fun i ->
+            let f = faults.(i) in
+            let reach = reach_of (line_of_fault g f) in
+            if Int64.equal reach 0L then (i, 0L)
+            else (i, Int64.logand reach (diff f)))
+          live
+      in
+      let mask = List.fold_left (fun a (_, e) -> Int64.logor a e) 0L masked in
+      if Int64.equal mask 0L then live
+      else
+        let obs = observe r mask in
+        List.filter_map
+          (fun (i, e) ->
+            if Int64.equal (Int64.logand e obs) 0L then Some i
+            else begin
+              detected i;
+              None
+            end)
+          masked
 
 (* ---------------- cone-local ATPG ---------------- *)
 
@@ -234,8 +366,9 @@ let encode_tt covers s lits tt y =
   List.iter (clause (Solver.lit_not y)) off
 
 (* The decision procedure for the faults of [m]: each call decides one
-   fault with its own small miter and solver, in the SAT-ATPG formulation
-   of Larrabee (IEEE TCAD 1992).  Only the fault's fanout cone gets a
+   fault with its own small miter, in the SAT-ATPG formulation of
+   Larrabee (IEEE TCAD 1992), on a solver [Solver.reset] for it, which
+   searches as a fresh one would.  Only the fault's fanout cone gets a
    faulty copy, and every fanin outside it reads the good copy.  The good
    copy is encoded on demand, only where the faulty cone, the fault site
    or a compared output reads it, and the XOR covers only the outputs the
@@ -249,7 +382,7 @@ let encode_tt covers s lits tt y =
    truth table (the cofactored table), and a PI stuck forces the
    pre-negation input value, which output nets reading the PI directly
    see too. *)
-let atpg (m : Mapped.t) cones ~conflict_budget ?stats () =
+let atpg (m : Mapped.t) g ~conflict_budget ?stats () =
   let n = max (Array.length m.Mapped.instances) 1 in
   let ni = max m.Mapped.num_inputs 1 in
   let covers = Array.init 7 (fun _ -> Word_tbl.create 64) in
@@ -258,6 +391,9 @@ let atpg (m : Mapped.t) cones ~conflict_budget ?stats () =
   let pi_lit = Array.make ni 0 and pi_at = Array.make ni 0 in
   let good_lit = Array.make n 0 and good_at = Array.make n 0 in
   let bad_lit = Array.make n 0 and bad_at = Array.make n 0 in
+  (* one solver for all queries, reset for each: its per-variable
+     storage and clause arena grow to the largest miter once *)
+  let s = Solver.create () in
   let query = ref 0 in
   fun f ->
     incr query;
@@ -266,8 +402,8 @@ let atpg (m : Mapped.t) cones ~conflict_budget ?stats () =
        and the faulty PI *)
     let cone, bad_pi =
       match f.site with
-      | Pi_sa i -> (cone_of cones cones.pi_consumers.(i), i)
-      | Out_sa j | Pin_sa (j, _) -> (j :: cone_of cones cones.fanout.(j), -1)
+      | Pi_sa i -> (cone_of g g.fanout.(g.n + i), i)
+      | Out_sa j | Pin_sa (j, _) -> (j :: cone_of g g.fanout.(j), -1)
     in
     List.iter (fun k -> bad_at.(k) <- q) cone;
     let reached =
@@ -281,7 +417,7 @@ let atpg (m : Mapped.t) cones ~conflict_budget ?stats () =
     in
     if reached = [] then Redundant
     else begin
-      let s = Solver.create () in
+      Solver.reset s;
       let fresh () = Solver.pos (Solver.new_var s) in
       let cfalse = fresh () in
       Solver.add_clause s [ Solver.lit_not cfalse ];
@@ -378,34 +514,42 @@ let analyze ?(rounds = 32) ?(seed = 2026L) ?(conflict_budget = 100_000)
   let faults = faults_of m in
   let n = Array.length faults in
   let status = Array.make n None in
-  let cones = build_cones m in
-  let rng = Rand64.create seed in
+  let g = build_graph m in
+  (* the live faults of each region whose root some output can see;
+     a fault elsewhere is never detected by simulation *)
+  let root = roots g in
+  let live_in = Array.make (Array.length root) [] in
+  for i = n - 1 downto 0 do
+    let r = root.(line_of_fault g faults.(i)) in
+    live_in.(r) <- i :: live_in.(r)
+  done;
+  let regions =
+    List.filter
+      (fun r -> live_in.(r) <> [] && (g.observed.(r) || g.fanout.(r) <> []))
+      (List.init (Array.length root) Fun.id)
+  in
   let live = ref n in
+  let sim =
+    simulator m g faults ~detected:(fun i ->
+        status.(i) <- Some Detected_sim;
+        decr live)
+  in
+  let rng = Rand64.create seed in
   let round = ref 0 in
   while !round < rounds && !live > 0 do
     incr round;
     let words =
       Array.init m.Mapped.num_inputs (fun _ -> Rand64.next rng)
     in
-    let base_vals = Mapped.simulate_values m words in
-    let base_outs =
-      Array.map
-        (fun (_, net) -> Mapped.net_value words base_vals net)
-        m.Mapped.outputs
-    in
-    let scratch = Array.copy base_vals in
-    Array.iteri
-      (fun i f ->
-        if status.(i) = None then
-          if sim_fault m cones words base_vals base_outs scratch f then begin
-            status.(i) <- Some Detected_sim;
-            decr live
-          end)
-      faults
+    let survivors = sim ~words ~vals:(Mapped.simulate_values m words) in
+    List.iter
+      (fun r ->
+        if live_in.(r) <> [] then live_in.(r) <- survivors r live_in.(r))
+      regions
   done;
   (* ATPG over the survivors, one cone-local miter each *)
   (if !live > 0 then
-     let decide = atpg m cones ~conflict_budget ?stats () in
+     let decide = atpg m g ~conflict_budget ?stats () in
      Array.iteri
        (fun i f -> if status.(i) = None then status.(i) <- Some (decide f))
        faults);

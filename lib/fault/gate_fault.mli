@@ -1,14 +1,25 @@
 (** Gate-level single-stuck-at fault simulation and ATPG over {!Mapped.t}.
 
-    Random-pattern detection runs 64 patterns per word with per-fault
-    fanout-cone resimulation and fault dropping.  Each undetected fault
-    gets its own cone-local SAT miter (Larrabee's formulation): a faulty
-    copy of the fault's fanout cone only, the part of the good netlist
-    that cone and the outputs it reaches read, an XOR over those outputs
-    and a unit clause that activates the fault.  A fault that reaches no
-    output is {!Redundant} without a solve.  Each query runs under a
-    conflict budget, so a hard fault degrades to {!Unknown} instead of an
-    unbounded solve. *)
+    Random-pattern detection runs 64 patterns per word with fault
+    dropping, by stem regions: a {e stem} is a line (a primary input or an
+    instance output) that an output net reads or that two or more cells
+    read, and its {e fanout-free region} holds every line whose value
+    reaches the outputs only through it.  Each round resimulates each
+    stem whose region still holds a live fault once, flipped, evaluating
+    only the cells whose inputs changed; the output change is the stem's
+    observability word.  Within the region a line's observability is the
+    stem's ANDed with the Boolean differences along its one path to the
+    stem, and a fault is detected where its difference word meets its
+    line's observability.  This is exact per pattern bit: it detects what
+    resimulating each fault's whole fanout cone detects.
+
+    Each undetected fault gets its own cone-local SAT miter (Larrabee's
+    formulation): a faulty copy of the fault's fanout cone only, the part
+    of the good netlist that cone and the outputs it reaches read, an XOR
+    over those outputs and a unit clause that activates the fault.  A
+    fault that reaches no output is {!Redundant} without a solve.  Each
+    query runs under a conflict budget, so a hard fault degrades to
+    {!Unknown} instead of an unbounded solve. *)
 
 type site =
   | Pi_sa of int         (** primary input stuck *)

@@ -50,11 +50,12 @@ let lit_sign l = l land 1 = 0 (* true for positive *)
 module Vec = struct
   type t = { mutable a : int array; mutable n : int }
 
-  let create () = { a = Array.make 16 0; n = 0 }
+  (* empty until the first push: a solver holds two per variable *)
+  let create () = { a = [||]; n = 0 }
 
   let push v x =
     if v.n >= Array.length v.a then begin
-      let b = Array.make (2 * Array.length v.a) 0 in
+      let b = Array.make (max 8 (2 * Array.length v.a)) 0 in
       Array.blit v.a 0 b 0 v.n;
       v.a <- b
     end;
@@ -97,6 +98,7 @@ type t = {
   mutable max_learnts : int;
   mutable ok : bool;
   mutable core : int list;          (* failed assumptions of the last solve *)
+  mutable lits : int array;         (* [add_clause]'s sorted literals *)
   mutable solves : int;
   mutable conflicts : int;
   mutable decisions : int;
@@ -128,6 +130,7 @@ let create () =
     max_learnts = 2000;
     ok = true;
     core = [];
+    lits = Array.make 8 0;
     solves = 0;
     conflicts = 0;
     decisions = 0;
@@ -208,37 +211,62 @@ let heap_pop s =
   end;
   top
 
+(* Doubles the per-variable storage.  The new entries are placeholders:
+   [new_var] initializes every entry it hands out. *)
 let grow_arrays s =
   let n = Array.length s.assigns in
-  let m = 2 * n in
-  let ext def a =
-    let b = Array.make m def in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  s.assigns <- ext (-1) s.assigns;
-  s.level <- ext 0 s.level;
-  s.reason <- ext (-1) s.reason;
-  s.activity <- Array.append s.activity (Array.make n 0.0);
-  s.polarity <- Array.append s.polarity (Array.make n false);
-  s.heap_pos <- ext (-1) s.heap_pos;
-  s.seen <- Array.append s.seen (Array.make n false);
-  let st = Array.make (m + 1) (-1) in
+  let ext a = Array.append a a in
+  s.assigns <- ext s.assigns;
+  s.level <- ext s.level;
+  s.reason <- ext s.reason;
+  s.activity <- ext s.activity;
+  s.polarity <- ext s.polarity;
+  s.heap_pos <- ext s.heap_pos;
+  s.seen <- ext s.seen;
+  let st = Array.make ((2 * n) + 1) (-1) in
   Array.blit s.stamp 0 st 0 (Array.length s.stamp);
   s.stamp <- st;
-  let w = Array.init (2 * m) (fun _ -> Vec.create ()) in
-  Array.blit s.watches 0 w 0 (2 * n);
-  s.watches <- w
+  s.watches <-
+    Array.init (4 * n) (fun l ->
+        if l < 2 * n then s.watches.(l) else Vec.create ())
 
 let new_var s =
   if s.nvars >= Array.length s.assigns then grow_arrays s;
   let v = s.nvars in
   s.nvars <- v + 1;
   s.assigns.(v) <- -1;
+  s.level.(v) <- 0;
   s.reason.(v) <- -1;
+  s.activity.(v) <- 0.0;
+  s.polarity.(v) <- false;
+  s.seen.(v) <- false;
   s.heap_pos.(v) <- -1;
+  Vec.clear s.watches.(pos v);
+  Vec.clear s.watches.(neg v);
   heap_insert s v;
   v
+
+(* Everything [create] starts from, in the storage already grown: the
+   per-variable entries are initialized by [new_var] as it hands them
+   out again, and [stamp_epoch] only grows, so no stale stamp matches. *)
+let reset s =
+  s.nvars <- 0;
+  Vec.clear s.heap;
+  Vec.clear s.arena;
+  Vec.clear s.trail;
+  Vec.clear s.trail_lim;
+  s.qhead <- 0;
+  s.var_inc <- 1.0;
+  Vec.clear s.learnts;
+  s.max_learnts <- 2000;
+  s.ok <- true;
+  s.core <- [];
+  s.solves <- 0;
+  s.conflicts <- 0;
+  s.decisions <- 0;
+  s.propagations <- 0;
+  s.restarts <- 0;
+  s.learned_total <- 0
 
 let decision_level s = Vec.size s.trail_lim
 
@@ -341,10 +369,16 @@ let attach s cref =
   Vec.push s.watches.(l1) cref;
   Vec.push s.watches.(l1) l0
 
-let push_clause s ~learned ~lbd lits =
+(* The arena header of a new clause of [size] literals; the literals
+   follow. *)
+let open_clause s ~learned ~lbd size =
   let cref = Vec.size s.arena in
   Vec.push s.arena ((lbd lsl 1) lor (if learned then 1 else 0));
-  Vec.push s.arena (List.length lits);
+  Vec.push s.arena size;
+  cref
+
+let push_clause s ~learned ~lbd lits =
+  let cref = open_clause s ~learned ~lbd (List.length lits) in
   List.iter (Vec.push s.arena) lits;
   attach s cref;
   if learned then begin
@@ -459,28 +493,56 @@ let add_clause s lits =
   if s.ok then begin
     (* Incremental use: undo any model left by a previous [solve]. *)
     backtrack s 0;
+    (* Insertion-sort the literals into [s.lits]: clauses are short. *)
+    let rec sort k = function
+      | [] -> k
+      | l :: rest ->
+          if k = Array.length s.lits then begin
+            let b = Array.make (2 * k) 0 in
+            Array.blit s.lits 0 b 0 k;
+            s.lits <- b
+          end;
+          let b = s.lits in
+          let i = ref k in
+          while !i > 0 && b.(!i - 1) > l do
+            b.(!i) <- b.(!i - 1);
+            decr i
+          done;
+          b.(!i) <- l;
+          sort (k + 1) rest
+    in
+    let n = sort 0 lits in
     (* Level-0 simplification in one scan of the sorted literals, where
        [l] and [lit_not l] are adjacent: drop duplicates and false
-       literals; a complementary pair or a true literal satisfies the
-       clause ([None]). *)
-    let rec scan prev acc = function
-      | [] -> Some (List.rev acc)
-      | l :: rest -> (
-          if l = prev then scan prev acc rest
-          else if l = lit_not prev then None
-          else
-            match lit_value s l with
-            | 1 -> None
-            | 0 -> scan l acc rest
-            | _ -> scan l (l :: acc) rest)
+       literals, compacting the rest to the front; a complementary pair
+       or a true literal satisfies the clause. *)
+    let b = s.lits in
+    let rec scan i prev kept =
+      if i = n then kept
+      else
+        let l = b.(i) in
+        if l = prev then scan (i + 1) prev kept
+        else if l = lit_not prev then -1
+        else
+          match lit_value s l with
+          | 1 -> -1
+          | 0 -> scan (i + 1) l kept
+          | _ ->
+              b.(kept) <- l;
+              scan (i + 1) l (kept + 1)
     in
-    match scan (-1) [] (List.sort Int.compare lits) with
-    | None -> ()
-    | Some [] -> s.ok <- false
-    | Some [ l ] ->
-        enqueue s l (-1);
+    match scan 0 (-1) 0 with
+    | -1 -> ()
+    | 0 -> s.ok <- false
+    | 1 ->
+        enqueue s b.(0) (-1);
         if propagate s >= 0 then s.ok <- false
-    | Some lits -> ignore (push_clause s ~learned:false ~lbd:0 lits)
+    | size ->
+        let cref = open_clause s ~learned:false ~lbd:0 size in
+        for i = 0 to size - 1 do
+          Vec.push s.arena b.(i)
+        done;
+        attach s cref
   end
 
 (* A learned clause is locked while it is the reason of its slot-0

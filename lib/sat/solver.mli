@@ -49,6 +49,12 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empties the solver of variables, clauses, learned state and
+    counters, as {!create} would, but keeps the storage it has grown:
+    a run of similar instances through one solver allocates once.  The
+    search after [reset] is the one a fresh solver makes. *)
+
 val new_var : t -> int
 (** Returns the new variable's index. *)
 

@@ -121,40 +121,117 @@ let mapped_of name =
   in
   Option.get ctx.Flow.mapped
 
-(* The packed cone-resimulating fault simulator agrees, fault for fault,
-   with the slow reference: structurally inject the fault (Gate_fault.inject)
-   and fully resimulate the copy on the same pattern stream with the
-   bit-serial evaluator, so a fault in the word-parallel kernel shows. *)
+(* A hand-built instance, nets and replicated truth tables for the
+   netlists below: [table k f] holds [f] over [k] fanins (pin [p] is bit
+   [p] of the minterm) in all 64 bits. *)
+let inst tt fanins =
+  {
+    Mapped.cell_name = "g";
+    area = 1.0;
+    delay = 1.0;
+    drive = None;
+    fanin_caps = [||];
+    fanins;
+    tt;
+    cover = None;
+  }
+
+let pi ?(negated = false) i = { Mapped.driver = Mapped.Pi i; negated }
+let out ?(negated = false) j = { Mapped.driver = Mapped.Inst j; negated }
+let const b = { Mapped.driver = Mapped.Const b; negated = false }
+
+let table k f =
+  let t = ref 0L in
+  for b = 63 downto 0 do
+    let m = b land ((1 lsl k) - 1) in
+    t :=
+      Int64.logor (Int64.shift_left !t 1)
+        (if f (fun p -> m land (1 lsl p) <> 0) then 1L else 0L)
+  done;
+  !t
+
+let and3 = table 3 (fun v -> v 0 && v 1 && v 2)
+
+(* Every edge of the stem-region scheme in one netlist over inputs 0-7:
+   - input 0 is read by an output and by a cell pin;
+   - i0 feeds both data pins of i1, one of them negated (i1 = i0 ? x3 : x4);
+   - i2 has a pin tied to a constant;
+   - i3 reaches no output, and input 6 reaches only i3;
+   - i4 drives an output and a cell;
+   - an output reads a constant.
+   Most faults need five or six input values at once, so one 64-pattern
+   round detects some of them at one seed and not at another. *)
+let stem_edges =
+  {
+    Mapped.lib_name = "stem-edges";
+    tau_ps = 1.0;
+    num_inputs = 8;
+    input_names = Array.init 8 (Printf.sprintf "x%d");
+    instances =
+      [|
+        inst and3 [| pi 0; pi 1; pi 2 |];
+        inst
+          (table 4 (fun v -> (v 0 && v 2) || (v 1 && v 3)))
+          [| out 0; out ~negated:true 0; pi 3; pi 4 |];
+        inst and3 [| pi 3; pi 5; const true |];
+        inst (table 2 (fun v -> v 0 || v 1)) [| pi 6; pi 7 |];
+        inst (table 2 (fun v -> not (v 0 && v 1))) [| out 1; out 2 |];
+        inst and3 [| out 4; pi 7; pi ~negated:true 1 |];
+      |];
+    outputs =
+      [| ("a", pi 0); ("o4", out 4); ("o5", out 5); ("zero", const false) |];
+  }
+
+(* The simulation verdicts of [Gate_fault.analyze] agree, fault for
+   fault, with the slow reference: structurally inject the fault
+   (Gate_fault.inject) and fully resimulate the copy on the same pattern
+   stream with the bit-serial evaluator, so a fault in the stem-region
+   scheme or in the word-parallel kernel shows.  Returns, per fault,
+   whether simulation detected it. *)
+let packed_matches_serial name m ~rounds ~seed =
+  let results, s =
+    Gate_fault.analyze ~rounds ~seed ~conflict_budget:5_000 m
+  in
+  let rng = Rand64.create seed in
+  let pats =
+    Array.init s.Gate_fault.g_rounds (fun _ ->
+        Array.init m.Mapped.num_inputs (fun _ -> Rand64.next rng))
+  in
+  let base = Array.map (Mapped_ref.simulate m) pats in
+  Array.map
+    (fun (r : Gate_fault.result) ->
+      let faulty = Gate_fault.inject m r.Gate_fault.fault in
+      let serial =
+        Array.exists2
+          (fun words b -> Mapped_ref.simulate faulty words <> b)
+          pats base
+      in
+      let packed = r.Gate_fault.status = Gate_fault.Detected_sim in
+      if packed <> serial then
+        Alcotest.failf "%s (seed %Ld): %s packed=%b serial=%b" name seed
+          (Gate_fault.describe m r.Gate_fault.fault)
+          packed serial;
+      packed)
+    results
+
 let test_packed_equals_serial () =
   List.iter
     (fun name ->
-      let m = mapped_of name in
-      let seed = 99L in
-      let results, s =
-        Gate_fault.analyze ~rounds:4 ~seed ~conflict_budget:5_000 m
-      in
-      let rng = Rand64.create seed in
-      let pats =
-        Array.init s.Gate_fault.g_rounds (fun _ ->
-            Array.init m.Mapped.num_inputs (fun _ -> Rand64.next rng))
-      in
-      let base = Array.map (Mapped_ref.simulate m) pats in
-      Array.iter
-        (fun (r : Gate_fault.result) ->
-          let faulty = Gate_fault.inject m r.Gate_fault.fault in
-          let serial =
-            Array.exists2
-              (fun words b -> Mapped_ref.simulate faulty words <> b)
-              pats base
-          in
-          let packed = r.Gate_fault.status = Gate_fault.Detected_sim in
-          if packed <> serial then
-            Alcotest.failf "%s: %s packed=%b serial=%b" name
-              (Gate_fault.describe m r.Gate_fault.fault)
-              packed serial)
-        results)
+      ignore (packed_matches_serial name (mapped_of name) ~rounds:4 ~seed:99L))
     [ "add-16"; "t481"; "C1355" ];
-  Alcotest.(check pass) "packed = serial" () ()
+  (* one round per seed, so each seed's 64 patterns decide alone *)
+  let verdicts =
+    List.map
+      (fun seed ->
+        packed_matches_serial "stem-edges" stem_edges ~rounds:1 ~seed)
+      [ 1L; 2L; 3L; 4L; 5L; 6L; 7L; 8L ]
+  in
+  let varies i =
+    List.exists (fun v -> v.(i)) verdicts
+    && List.exists (fun v -> not v.(i)) verdicts
+  in
+  Alcotest.(check bool) "stem-edges: some verdicts depend on the seed" true
+    (List.exists varies (List.init (Array.length (List.hd verdicts)) Fun.id))
 
 let test_gate_analysis_deterministic () =
   let m = mapped_of "add-16" in
@@ -269,19 +346,6 @@ let test_atpg_engines_agree () =
    solve, and a PI wired straight to an output (also read by that
    instance), whose faults only that output shows. *)
 let test_atpg_cone_edges () =
-  let inst tt fanins =
-    {
-      Mapped.cell_name = "g";
-      area = 1.0;
-      delay = 1.0;
-      drive = None;
-      fanin_caps = [||];
-      fanins;
-      tt;
-      cover = None;
-    }
-  in
-  let pi ?(negated = false) i = { Mapped.driver = Mapped.Pi i; negated } in
   let m =
     {
       Mapped.lib_name = "hand";
@@ -295,7 +359,7 @@ let test_atpg_cone_edges () =
         |];
       outputs =
         [|
-          ("y", { Mapped.driver = Mapped.Inst 0; negated = false });
+          ("y", out 0);
           ("w", pi ~negated:true 2);
         |];
     }
@@ -325,6 +389,33 @@ let test_atpg_cone_edges () =
   Alcotest.(check int) "one solve per detected fault" s.Gate_fault.g_atpg
     stats.Solver.sat_solves;
   ignore (atpg_agrees_with_cec "hand" m results)
+
+(* Every verdict [Gate_fault.analyze] gives the seven circuits of the
+   repository benchmark's verify workload at its defaults (32 rounds,
+   seed 2026, 100k conflicts per fault): the MD5 of each circuit's
+   [results_tsv] and summary line, as the per-fault cone resimulation
+   that the stem-region simulator replaced computed them. *)
+let test_fault_verdict_digest () =
+  List.iter
+    (fun (name, digest) ->
+      let m = mapped_of name in
+      let results, s = Gate_fault.analyze m in
+      Alcotest.(check string)
+        (name ^ " verdicts")
+        digest
+        (Digest.to_hex
+           (Digest.string
+              (Gate_fault.results_tsv m results
+              ^ "\n" ^ Gate_fault.summary_line s))))
+    [
+      ("C1355", "6e291f8b13010b932f1accea8fa53db3");
+      ("C1908", "09fa82511efcdc5405b5ce32c924e233");
+      ("t481", "17fe9609f8b8626d55258957e839385f");
+      ("C3540", "f77ddddfe1c31535360457c6f1011eb3");
+      ("dalu", "08e46c1cad286bb8a785af4b893cd331");
+      ("add-64", "68ff9293491a280f2c8a25bcd80a8895");
+      ("i18", "6b05c0ea8f7e237a8bbedad9be88825a");
+    ]
 
 (* ---- static testability ---- *)
 
@@ -557,6 +648,8 @@ let () =
           Alcotest.test_case "atpg engines agree" `Quick
             test_atpg_engines_agree;
           Alcotest.test_case "atpg cone edges" `Quick test_atpg_cone_edges;
+          Alcotest.test_case "fault verdict digest" `Quick
+            test_fault_verdict_digest;
         ] );
       ( "testability",
         [

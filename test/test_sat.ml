@@ -289,6 +289,74 @@ let prop_assumptions =
           && not (brute_force nvars (clauses @ units core))
       | _ -> false)
 
+let reset_sat = ref 0
+let reset_unsat = ref 0
+
+(* [Solver.reset] leaves nothing of the previous instance behind: after
+   a larger random instance is solved (growing the storage, learning
+   clauses, bumping activities, saving phases), the reset solver
+   searches a second instance exactly as a fresh solver does: the same
+   answer, model, core and counters. *)
+let prop_reset =
+  QCheck.Test.make ~name:"reset = fresh" ~count:100
+    (QCheck.make QCheck.Gen.(int_range 4 20))
+    (fun nvars ->
+      let big = 30 + Rand64.int rng 40 in
+      let first = random_clauses ~min_width:3 ~max_width:3 big (4 * big) in
+      let clauses =
+        random_clauses ~min_width:3 ~max_width:3 nvars (4 * nvars)
+      in
+      let assumptions =
+        List.init (Rand64.int rng 3) (fun _ ->
+            let v = Rand64.int rng nvars in
+            if Rand64.bool rng then Solver.pos v else Solver.neg v)
+      in
+      let load s n cls =
+        for _ = 1 to n do
+          ignore (Solver.new_var s)
+        done;
+        List.iter (Solver.add_clause s) cls
+      in
+      let run s =
+        load s nvars clauses;
+        let r = Solver.solve ~assumptions s in
+        let model =
+          match r with
+          | Solver.Sat -> Some (Array.init nvars (Solver.model_value s))
+          | _ -> None
+        in
+        (r, model, Solver.unsat_core s, Solver.stats_of s)
+      in
+      let s = Solver.create () in
+      load s big first;
+      ignore (Solver.solve s);
+      Solver.reset s;
+      let ((r, _, _, _) as reused) = run s in
+      incr (if r = Solver.Sat then reset_sat else reset_unsat);
+      reused = run (Solver.create ()))
+
+(* The same after a learned-clause GC: a pigeonhole run past 2,000
+   learned clauses (so [reduce_db] has run, raised its limit and left a
+   long learned list), then a reset, must not change a second
+   pigeonhole search that learns past 2,000 clauses too. *)
+let test_reset_after_gc () =
+  let s = Solver.create () in
+  pigeonhole s 9 8;
+  ignore (Solver.solve ~conflict_budget:6_000 s);
+  Alcotest.(check bool) "first run learned past the GC limit" true
+    (Solver.num_learned s > 2_000);
+  Solver.reset s;
+  let run s =
+    pigeonhole s 8 7;
+    let r = Solver.solve s in
+    (r, Solver.stats_of s)
+  in
+  let ((r, st) as reused) = run s in
+  Alcotest.(check bool) "php(8,7) unsat" true (r = Solver.Unsat);
+  Alcotest.(check bool) "second run learned past the GC limit" true
+    (st.Solver.sat_learned > 2_000);
+  Alcotest.(check bool) "reset = fresh" true (reused = run (Solver.create ()))
+
 let test_assumptions_reusable () =
   (* One solver, many assumption queries: later queries must not be
      polluted by earlier failed ones. *)
@@ -601,6 +669,10 @@ let () =
               ("sat", assumptions_sat);
               ("unsat with a non-empty core", assumptions_core);
             ];
+          with_outcome_shares prop_reset
+            [ ("sat", reset_sat); ("unsat", reset_unsat) ];
+          Alcotest.test_case "reset after learned-clause GC" `Quick
+            test_reset_after_gc;
           Alcotest.test_case "assumptions reusable" `Quick
             test_assumptions_reusable;
           Alcotest.test_case "assumption vs unit" `Quick
