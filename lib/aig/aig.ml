@@ -365,24 +365,24 @@ let tt_of_lit t l =
 
 let extract t outs =
   let fresh = create ~size_hint:t.num () in
-  let map = Hashtbl.create (t.num / 2) in
-  Hashtbl.add map 0 lit_false;
+  let map = Array.make t.num (-1) in
+  map.(0) <- lit_false;
   for i = 0 to t.ninputs - 1 do
-    let l = add_input ~name:t.inames.(i) fresh in
-    Hashtbl.add map (i + 1) l
+    map.(i + 1) <- add_input ~name:t.inames.(i) fresh
   done;
   let rec copy n =
-    match Hashtbl.find_opt map n with
-    | Some l -> l
-    | None ->
-        let f0 = t.fanin0.(n) and f1 = t.fanin1.(n) in
-        let a = copy (node_of f0) in
-        let b = copy (node_of f1) in
-        let a = if is_compl f0 then lnot a else a in
-        let b = if is_compl f1 then lnot b else b in
-        let l = mk_and fresh a b in
-        Hashtbl.add map n l;
-        l
+    let l = map.(n) in
+    if l >= 0 then l
+    else begin
+      let f0 = t.fanin0.(n) and f1 = t.fanin1.(n) in
+      let a = copy (node_of f0) in
+      let b = copy (node_of f1) in
+      let a = if is_compl f0 then lnot a else a in
+      let b = if is_compl f1 then lnot b else b in
+      let l = mk_and fresh a b in
+      map.(n) <- l;
+      l
+    end
   in
   List.iter
     (fun (name, l) ->

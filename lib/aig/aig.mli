@@ -114,9 +114,10 @@ val tt_of_cut : t -> lit -> int array -> Tt.t
 
 (** {1 Copying} *)
 
-val extract : t -> (string * lit) list -> t * (int, lit) Hashtbl.t
+val extract : t -> (string * lit) list -> t * lit array
 (** Copy the cones of the given outputs into a fresh graph (dead logic is
-    dropped); also returns the old-node to new-literal map. *)
+    dropped); also returns the old-node to new-literal map, [-1] for the
+    nodes outside the copied cones. *)
 
 val cleanup : t -> t
 (** [extract] on all the outputs of [t]. *)

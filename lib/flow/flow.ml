@@ -681,16 +681,21 @@ let sample_of step ~wall ~gc before after =
 
 let run_step cfg step ctx =
   let info = find_pass step.pass in
-  let g0 = Gc.quick_stat () in
+  (* [Gc.quick_stat]'s word counts advance only when a collection samples
+     them, so the words come from this domain's exact counters *)
+  let minor0 = Gc.minor_words () in
+  let _, _, major0 = Gc.counters () in
+  let c0 = (Gc.quick_stat ()).Gc.compactions in
   let t0 = Unix.gettimeofday () in
   let ctx' = info.p_apply step cfg ctx in
   let wall = Unix.gettimeofday () -. t0 in
-  let g1 = Gc.quick_stat () in
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
   let gc =
     {
-      gd_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      gd_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-      gd_compactions = g1.Gc.compactions - g0.Gc.compactions;
+      gd_minor_words = minor1 -. minor0;
+      gd_major_words = major1 -. major0;
+      gd_compactions = (Gc.quick_stat ()).Gc.compactions - c0;
     }
   in
   (ctx', sample_of step ~wall ~gc:(Some gc) ctx ctx')

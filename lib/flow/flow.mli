@@ -124,9 +124,10 @@ type gc_delta = {
   gd_major_words : float;   (** words allocated in / promoted to the major heap *)
   gd_compactions : int;
 }
-(** Allocation pressure of one pass: {!Gc.quick_stat} deltas taken around
-    the pass body in the domain that ran it (with [config.jobs] > 1 the
-    mapper's worker-domain allocations are not included — compare runs at
+(** Allocation pressure of one pass: deltas of {!Gc.minor_words} and of
+    {!Gc.counters}' major words taken around the pass body in the domain
+    that ran it, exact at any size (with [config.jobs] > 1 the allocations
+    of the pass's own worker domains are not included — compare runs at
     like [jobs]). *)
 
 type sample = {

@@ -61,9 +61,10 @@ let compose_equiv ?conflict_budget ?stats golden root_lit leaves inst_tt =
   in
   let g, map = Aig.extract golden outs in
   let tr l =
-    match Hashtbl.find_opt map (Aig.node_of l) with
-    | Some nl -> if Aig.is_compl l then Aig.lnot nl else nl
-    | None -> invalid_arg "Map_lint.compose_equiv"
+    let nl = map.(Aig.node_of l) in
+    if nl < 0 then invalid_arg "Map_lint.compose_equiv"
+    else if Aig.is_compl l then Aig.lnot nl
+    else nl
   in
   let composed =
     shannon g (Array.map (fun n -> tr (Aig.lit_of_node n)) leaves) inst_tt

@@ -1,107 +1,150 @@
 (* Multi-level AIG optimization: balance / rewrite / refactor.
 
    Every pass rebuilds into a fresh graph (keeping structural hashing
-   dense) and finishes with a cleanup copy that drops dead nodes. *)
+   dense) and finishes with a cleanup copy that drops dead nodes.  A
+   pass's node maps are flat [int] arrays indexed by node id. *)
 
 let lit_map_get map l =
-  let nl = Hashtbl.find map (Aig.node_of l) in
+  let nl = map.(Aig.node_of l) in
   if Aig.is_compl l then Aig.lnot nl else nl
+
+(* A growable [int] array, for per-pass scratch whose size the pass
+   cannot bound up front. *)
+type ivec = { mutable a : int array; mutable len : int }
+
+let ivec_make n = { a = Array.make (max n 16) 0; len = 0 }
+
+let ivec_reserve v n =
+  if n > Array.length v.a then begin
+    let b = Array.make (max n (2 * Array.length v.a)) 0 in
+    Array.blit v.a 0 b 0 v.len;
+    v.a <- b
+  end
+
+let ivec_push v x =
+  ivec_reserve v (v.len + 1);
+  v.a.(v.len) <- x;
+  v.len <- v.len + 1
 
 (* ---------------- balance ---------------- *)
 
 module Lvl_heap = struct
-  (* tiny binary min-heap of (level, lit) *)
-  type t = { mutable a : (int * int) array; mutable n : int }
+  (* binary min-heap of (level, lit) pairs in two parallel arrays *)
+  type t = { mutable key : int array; mutable lit : int array; mutable n : int }
 
-  let create () = { a = Array.make 16 (0, 0); n = 0 }
+  let create () = { key = Array.make 16 0; lit = Array.make 16 0; n = 0 }
 
-  let push h x =
-    if h.n >= Array.length h.a then begin
-      let b = Array.make (2 * Array.length h.a) (0, 0) in
-      Array.blit h.a 0 b 0 h.n;
-      h.a <- b
+  let swap h i j =
+    let k = h.key.(i) and l = h.lit.(i) in
+    h.key.(i) <- h.key.(j);
+    h.lit.(i) <- h.lit.(j);
+    h.key.(j) <- k;
+    h.lit.(j) <- l
+
+  let push h k l =
+    if h.n >= Array.length h.key then begin
+      let grow a =
+        let b = Array.make (2 * Array.length a) 0 in
+        Array.blit a 0 b 0 h.n;
+        b
+      in
+      h.key <- grow h.key;
+      h.lit <- grow h.lit
     end;
-    h.a.(h.n) <- x;
+    h.key.(h.n) <- k;
+    h.lit.(h.n) <- l;
     h.n <- h.n + 1;
     let i = ref (h.n - 1) in
-    while !i > 0 && fst h.a.((!i - 1) / 2) > fst h.a.(!i) do
+    while !i > 0 && h.key.((!i - 1) / 2) > h.key.(!i) do
       let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
+      swap h p !i;
       i := p
     done
 
+  (* Drops the minimum; read it first from [key.(0)] and [lit.(0)]. *)
   let pop h =
-    let top = h.a.(0) in
     h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
+    h.key.(0) <- h.key.(h.n);
+    h.lit.(0) <- h.lit.(h.n);
     let i = ref 0 in
     let continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
       let best = ref !i in
-      if l < h.n && fst h.a.(l) < fst h.a.(!best) then best := l;
-      if r < h.n && fst h.a.(r) < fst h.a.(!best) then best := r;
+      if l < h.n && h.key.(l) < h.key.(!best) then best := l;
+      if r < h.n && h.key.(r) < h.key.(!best) then best := r;
       if !best = !i then continue := false
       else begin
-        let tmp = h.a.(!best) in
-        h.a.(!best) <- h.a.(!i);
-        h.a.(!i) <- tmp;
+        swap h !best !i;
         i := !best
       end
-    done;
-    top
-
-  let size h = h.n
+    done
 end
 
 let balance aig =
-  let fresh = Aig.create ~size_hint:(Aig.num_nodes aig) () in
-  let map = Hashtbl.create (Aig.num_nodes aig) in
-  Hashtbl.add map 0 Aig.lit_false;
+  let n = Aig.num_nodes aig in
+  let fresh = Aig.create ~size_hint:n () in
+  let map = Array.make n Aig.lit_false in
   for i = 0 to Aig.num_inputs aig - 1 do
-    Hashtbl.add map (i + 1) (Aig.add_input ~name:(Aig.input_name aig i) fresh)
+    map.(i + 1) <- Aig.add_input ~name:(Aig.input_name aig i) fresh
   done;
   let refs = Aig.fanout_counts aig in
-  let lvl = Hashtbl.create (Aig.num_nodes aig) in
+  (* level of each node of [fresh], 0 until a tree combine records one *)
+  let lvl = ivec_make n in
   let level_of l =
-    try Hashtbl.find lvl (Aig.node_of l) with Not_found -> 0
+    let x = Aig.node_of l in
+    if x < lvl.len then lvl.a.(x) else 0
+  in
+  let set_level x v =
+    if x >= lvl.len then begin
+      ivec_reserve lvl (x + 1);
+      Array.fill lvl.a lvl.len (x + 1 - lvl.len) 0;
+      lvl.len <- x + 1
+    end;
+    lvl.a.(x) <- v
   in
   (* Collect the leaves of the AND tree rooted at [nd], flattening through
-     non-complemented single-fanout AND fanins. *)
-  let rec leaves_of acc l root =
+     non-complemented single-fanout AND fanins, in traversal order. *)
+  let leaves = ivec_make 16 in
+  let rec collect l root =
     let nd = Aig.node_of l in
     if
       (not root)
       && (Aig.is_compl l || (not (Aig.is_and aig nd)) || refs.(nd) > 1)
-    then l :: acc
-    else leaves_of (leaves_of acc (Aig.fanin0 aig nd) false)
-           (Aig.fanin1 aig nd) false
+    then ivec_push leaves l
+    else begin
+      collect (Aig.fanin0 aig nd) false;
+      collect (Aig.fanin1 aig nd) false
+    end
   in
+  let h = Lvl_heap.create () in
   Aig.iter_ands aig (fun nd ->
-      let leaves = leaves_of [] (Aig.lit_of_node nd) true in
-      let h = Lvl_heap.create () in
-      List.iter
-        (fun l ->
-          let nl = lit_map_get map l in
-          Lvl_heap.push h (level_of nl, nl))
-        leaves;
+      leaves.len <- 0;
+      collect (Aig.lit_of_node nd) true;
+      (* last-visited leaf first, the order the seed's consed list had *)
+      for i = leaves.len - 1 downto 0 do
+        let nl = lit_map_get map leaves.a.(i) in
+        Lvl_heap.push h (level_of nl) nl
+      done;
       let result =
-        if Lvl_heap.size h = 0 then Aig.lit_true
+        if h.n = 0 then Aig.lit_true
         else begin
-          while Lvl_heap.size h > 1 do
-            let l1, a = Lvl_heap.pop h in
-            let l2, b = Lvl_heap.pop h in
+          while h.n > 1 do
+            let l1 = h.key.(0) and a = h.lit.(0) in
+            Lvl_heap.pop h;
+            let l2 = h.key.(0) and b = h.lit.(0) in
+            Lvl_heap.pop h;
             let c = Aig.mk_and fresh a b in
             let lv = 1 + max l1 l2 in
-            Hashtbl.replace lvl (Aig.node_of c) lv;
-            Lvl_heap.push h (lv, c)
+            set_level (Aig.node_of c) lv;
+            Lvl_heap.push h lv c
           done;
-          snd (Lvl_heap.pop h)
+          let r = h.lit.(0) in
+          Lvl_heap.pop h;
+          r
         end
       in
-      Hashtbl.replace map nd result);
+      map.(nd) <- result);
   Array.iter
     (fun (name, l) -> Aig.add_output fresh name (lit_map_get map l))
     (Aig.outputs aig);
@@ -109,25 +152,56 @@ let balance aig =
 
 (* ---------------- refactor / rewrite ---------------- *)
 
-let rec build_form g leaf_lits = function
+(* Builds [form] over the leaf literals [lits] into [g]: each operator's
+   operands left to right, then folded left — the order of [Aig.mk_and_list]
+   over a mapped list, so node ids do not depend on how the form is walked.
+   Operands wait on [stk] instead of in a list.  Raises [Exit] as soon as
+   [g] holds more than [limit] nodes. *)
+let rec build_form g limit stk lits = function
   | Factored.Const b -> if b then Aig.lit_true else Aig.lit_false
-  | Factored.Lit (i, s) ->
-      if s then leaf_lits.(i) else Aig.lnot leaf_lits.(i)
-  | Factored.And fs ->
-      Aig.mk_and_list g (List.map (build_form g leaf_lits) fs)
-  | Factored.Or fs ->
-      Aig.mk_or_list g (List.map (build_form g leaf_lits) fs)
+  | Factored.Lit (i, s) -> if s then lits.(i) else Aig.lnot lits.(i)
+  | Factored.And fs -> build_fold g limit stk lits true fs
+  | Factored.Or fs -> build_fold g limit stk lits false fs
+
+and build_fold g limit stk lits is_and fs =
+  let base = stk.len in
+  build_operands g limit stk lits fs;
+  let r =
+    if stk.len = base then if is_and then Aig.lit_true else Aig.lit_false
+    else begin
+      let acc = ref stk.a.(base) in
+      for q = base + 1 to stk.len - 1 do
+        let x = stk.a.(q) in
+        acc := if is_and then Aig.mk_and g !acc x else Aig.mk_or g !acc x;
+        if Aig.num_nodes g > limit then raise Exit
+      done;
+      !acc
+    end
+  in
+  stk.len <- base;
+  r
+
+and build_operands g limit stk lits = function
+  | [] -> ()
+  | f :: tl ->
+      ivec_push stk (build_form g limit stk lits f);
+      build_operands g limit stk lits tl
 
 let max_isop_cubes = 96
+
+let isop_form t =
+  let sop = Sop.isop t in
+  if Sop.num_cubes sop > max_isop_cubes then None
+  else
+    let f = Factored.factor sop in
+    Some (f, Factored.num_and2 f)
 
 (* ISOP + factoring of a cone function is a pure function of its truth
    table, and the same tables recur constantly across nodes and across the
    sub-passes of a script (~96% repeats on the benchmark suite), so the
    result is memoized per domain.  The cache changes nothing but wall
-   time: identical inputs map to the identical factored form. *)
-let form_cache_bound = 1 lsl 15
-
-(* Keyed on {!Tt.hash}, which mixes every word of the table; the generic
+   time: identical inputs map to the identical factored form.  Tables are
+   keyed on {!Tt.hash}, which mixes every word of the table; the generic
    [Hashtbl.hash] samples only a prefix of the boxed int64s, and wide
    tables that share a prefix would pile into a handful of buckets. *)
 module Form_tbl = Hashtbl.Make (struct
@@ -137,245 +211,285 @@ module Form_tbl = Hashtbl.Make (struct
   let hash = Tt.hash
 end)
 
-(* Two generations instead of a single table with a full reset: a large
-   circuit's refactor sweep holds more distinct cone functions than one
-   generation, and wiping everything mid-pass made even the warm repeat
-   passes pay full ISOP cost.  On overflow the current generation is
-   demoted to fallback (and fallback hits are promoted back), so the hot
-   working set survives while memory stays capped at ~2x the bound per
-   domain. *)
-type form_caches = {
+(* The table keeps two generations instead of a single table with a
+   full reset: a large circuit's refactor sweep holds more distinct cone
+   functions than one generation, and wiping everything mid-pass made even
+   the warm repeat passes pay full ISOP cost.  On overflow the current
+   generation is demoted to fallback (and fallback hits are promoted back),
+   so the hot working set survives.  A generation overflows at
+   [form_cache_bound] entries or [form_words_bound] table words, whichever
+   comes first: 16-variable tables are 1,024 words each, and at the entry
+   bound alone two generations of them would hold about 2 GB per domain.
+   Up to 10 variables (16 words) the word bound is never the first. *)
+let form_cache_bound = 1 lsl 15
+let form_words_bound = 1 lsl 19
+
+type forms = {
   mutable cur : (Factored.t * int) option Form_tbl.t;
+  mutable cur_words : int;
   mutable prev : (Factored.t * int) option Form_tbl.t;
 }
 
-let form_cache : form_caches Domain.DLS.key =
+let form_cache : forms Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { cur = Form_tbl.create 1024; prev = Form_tbl.create 16 })
+      {
+        cur = Form_tbl.create 1024;
+        cur_words = 0;
+        prev = Form_tbl.create 16;
+      })
 
-let pick_form t =
-  let c = Domain.DLS.get form_cache in
-  match Form_tbl.find_opt c.cur t with
-  | Some r -> r
-  | None ->
+let pick_form c t =
+  match Form_tbl.find c.cur t with
+  | r -> r
+  | exception Not_found ->
       let r =
-        match Form_tbl.find_opt c.prev t with
-        | Some r -> r
-        | None ->
-            let sop = Sop.isop t in
-            if Sop.num_cubes sop > max_isop_cubes then None
-            else
-              let f = Factored.factor sop in
-              Some (f, Factored.num_and2 f)
+        match Form_tbl.find c.prev t with
+        | r -> r
+        | exception Not_found -> isop_form t
       in
-      if Form_tbl.length c.cur >= form_cache_bound then begin
+      let words = Array.length (Tt.words t) in
+      if
+        Form_tbl.length c.cur >= form_cache_bound
+        || c.cur_words + words > form_words_bound
+      then begin
         let o = c.prev in
         c.prev <- c.cur;
         Form_tbl.reset o;
-        c.cur <- o
+        c.cur <- o;
+        c.cur_words <- 0
       end;
       Form_tbl.add c.cur t r;
+      c.cur_words <- c.cur_words + words;
       r
 
-(* Per-chunk scratch of the refactor sweep's helpers: timestamped marks
-   (a stamp bump invalidates all marks at once, so no per-call table is
-   ever built or cleared) plus the greedy-cut leaf arrays.  One instance
-   per {!Par.run} chunk index — every helper's result is a pure function
-   of the source graph, so which chunk analyzes which node cannot change
-   any value. *)
-type ts_scratch = {
-  ts_mark : int array;
-  ts_dec : int array;
-  ts_dec_stamp : int array;
-  mutable ts_stamp : int;
-  ts_glv : int array;
-  ts_gseq : int array;
+(* Word halves of the projections on in-word variables 0..5. *)
+let var_lo = [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000; 0 |]
+
+let var_hi =
+  [| 0xAAAAAAAA; 0xCCCCCCCC; 0xF0F0F0F0; 0xFF00FF00; 0xFFFF0000; 0xFFFFFFFF |]
+
+let half_mask = 0xFFFFFFFF
+
+(* Per-chunk scratch of the analysis phase.  Marks are stamped (a stamp
+   bump invalidates every mark at once, so no per-call table is ever built
+   or cleared).  One stamp at a time owns [mark]: greedy-cut membership,
+   the leaves of a cut whose deaths are counted, or the nodes of a
+   truth-table walk, whose slots are in [slot]. *)
+type scratch = {
+  mark : int array;
+  slot : int array;
+  dec : int array;
+  dec_stamp : int array;
+  mutable stamp : int;
+  gl : int array;  (** greedy-cut leaves *)
+  gseq : int array;  (** their insertion sequence numbers *)
+  mutable gn : int;
+  mutable gseqc : int;
+  tt : int array;
+      (** truth-table slots, each word as two 32-bit halves (native ints
+          keep the walk free of boxed [int64]s) *)
+  mutable next_slot : int;
+  score : int array;  (** scores of the node's kept candidates *)
 }
 
 let refactor_impl ?(zero_gain = false) ?(cut_size = 10) ?stats ?(jobs = 1)
     aig =
   let st = match stats with Some s -> s | None -> Cut.stats_create () in
   let cut_size = min cut_size Tt.max_vars in
-  let fresh = Aig.create ~size_hint:(Aig.num_nodes aig) () in
-  let map = Hashtbl.create (Aig.num_nodes aig) in
-  Hashtbl.add map 0 Aig.lit_false;
-  for i = 0 to Aig.num_inputs aig - 1 do
-    Hashtbl.add map (i + 1) (Aig.add_input ~name:(Aig.input_name aig i) fresh)
-  done;
   let n = Aig.num_nodes aig in
+  let fresh = Aig.create ~size_hint:n () in
+  let map = Array.make n Aig.lit_false in
+  for i = 0 to Aig.num_inputs aig - 1 do
+    map.(i + 1) <- Aig.add_input ~name:(Aig.input_name aig i) fresh
+  done;
   let refs = Aig.fanout_counts aig in
-  let gcap = cut_size + 4 in
+  (* The seed kept the greedy cut's leaves in a [Hashtbl] (its version is
+     the tests' oracle) and took the first minimal-growth leaf in
+     [Hashtbl.iter] order, so growth ties break exactly the way that table
+     iterates: ascending bucket ([Hashtbl.hash leaf land 15] — 16 buckets,
+     seed 0, and the table never grows past the 32-binding resize
+     threshold here), then most-recently-inserted first within a bucket. *)
+  let bucket =
+    Bytes.init n (fun x -> Char.unsafe_chr (Hashtbl.hash x land 15))
+  in
+  (* Truth-table words per slot, and slots: a greedy cone holds at most
+     the root, its 64 expansions and the leaves. *)
+  let gmax = max 2 cut_size in
+  let nw = if gmax <= 6 then 1 else 1 lsl (gmax - 6) in
+  let nslots = 65 + gmax in
+  (* Candidates kept per node: the dry-run budget, or both polarities of
+     the single greedy cut. *)
+  let ccap = if cut_size <= 6 then 12 else 2 in
   let mk_scratch () =
     {
-      ts_mark = Array.make n 0;
-      ts_dec = Array.make n 0;
-      ts_dec_stamp = Array.make n 0;
-      ts_stamp = 0;
-      ts_glv = Array.make gcap 0;
-      ts_gseq = Array.make gcap 0;
+      mark = Array.make n 0;
+      slot = Array.make n 0;
+      dec = Array.make n 0;
+      dec_stamp = Array.make n 0;
+      stamp = 0;
+      gl = Array.make (gmax + 1) 0;
+      gseq = Array.make (gmax + 1) 0;
+      gn = 0;
+      gseqc = 0;
+      tt = Array.make (2 * nw * nslots) 0;
+      next_slot = 0;
+      score = Array.make ccap 0;
     }
   in
+  let next_stamp sc =
+    sc.stamp <- sc.stamp + 1;
+    sc.stamp
+  in
   let deref sc s m =
-    if sc.ts_dec_stamp.(m) <> s then begin
-      sc.ts_dec_stamp.(m) <- s;
-      sc.ts_dec.(m) <- 0
+    if sc.dec_stamp.(m) <> s then begin
+      sc.dec_stamp.(m) <- s;
+      sc.dec.(m) <- 0
     end;
-    sc.ts_dec.(m) <- sc.ts_dec.(m) + 1;
-    refs.(m) - sc.ts_dec.(m) = 0
+    sc.dec.(m) <- sc.dec.(m) + 1;
+    refs.(m) = sc.dec.(m)
   in
-  (* Number of AND nodes that stop being referenced when the cone of [nd]
-     above [cut] is bypassed: the node's MFFC restricted to the cone
-     ([refs] are whole-graph fanout counts). *)
-  let deaths_in_cone_ts sc nd cut =
-    sc.ts_stamp <- sc.ts_stamp + 1;
-    let s = sc.ts_stamp in
-    Array.iter (fun l -> sc.ts_mark.(l) <- s) cut;
-    let count = ref 0 in
-    let rec go nd' =
-      incr count;
-      let visit f =
-        let m = Aig.node_of f in
-        if Aig.is_and aig m && sc.ts_mark.(m) <> s && deref sc s m then go m
-      in
-      visit (Aig.fanin0 aig nd');
-      visit (Aig.fanin1 aig nd')
-    in
-    go nd;
-    !count
+  (* AND nodes that stop being referenced with [x]: [x] itself and,
+     recursively, each AND fanin whose last reference it held ([refs] are
+     whole-graph fanout counts).  With [cone], leaves marked [s] are not
+     crossed: the MFFC restricted to the cone above a cut. *)
+  let rec dead sc s cone x =
+    let m0 = Aig.node_of (Aig.fanin0 aig x) in
+    let c0 = if dies sc s cone m0 then dead sc s cone m0 else 0 in
+    let m1 = Aig.node_of (Aig.fanin1 aig x) in
+    let c1 = if dies sc s cone m1 then dead sc s cone m1 else 0 in
+    1 + c0 + c1
+  and dies sc s cone m =
+    Aig.is_and aig m && ((not cone) || sc.mark.(m) <> s) && deref sc s m
   in
-  (* [Aig.mffc_size aig refs root] over the timestamped marks. *)
-  let mffc_size_ts sc root =
-    if not (Aig.is_and aig root) then 0
-    else begin
-      sc.ts_stamp <- sc.ts_stamp + 1;
-      let s = sc.ts_stamp in
-      let count = ref 0 in
-      let rec go nd' =
-        incr count;
-        let visit f =
-          let m = Aig.node_of f in
-          if Aig.is_and aig m && deref sc s m then go m
-        in
-        visit (Aig.fanin0 aig nd');
-        visit (Aig.fanin1 aig nd')
-      in
-      go root;
-      !count
+  (* Greedy reconvergence-driven cut of at most [cut_size] leaves into
+     [sc.gl], sorted: repeatedly expands the leaf with the smallest
+     growth, ties broken in the seed's [Hashtbl.iter] order. *)
+  let gadd sc s x =
+    if sc.mark.(x) <> s then begin
+      sc.mark.(x) <- s;
+      sc.gl.(sc.gn) <- x;
+      sc.gseqc <- sc.gseqc + 1;
+      sc.gseq.(sc.gn) <- sc.gseqc;
+      sc.gn <- sc.gn + 1
     end
   in
-  (* Greedy reconvergence-driven cut of at most [k] leaves: repeatedly
-     expands the leaf with the smallest growth.  Leaves live in a small
-     scratch array.  The seed kept them in a [Hashtbl] (its version is the
-     tests' oracle) and took the first minimal-growth leaf in
-     [Hashtbl.iter] order, so to stay result-identical growth ties break
-     exactly the way that table iterates: ascending bucket
-     ([Hashtbl.hash leaf land 15] — 16 buckets, seed 0, and the table never
-     grows past the 32-binding resize threshold here), then
-     most-recently-inserted first within a bucket. *)
-  let greedy_cut_ts sc nd k =
-    let glv = sc.ts_glv and gseq = sc.ts_gseq in
-    let gcnt = ref 0 and seqc = ref 0 in
-    let mem x =
-      let r = ref false in
-      for i = 0 to !gcnt - 1 do
-        if glv.(i) = x then r := true
-      done;
-      !r
-    in
-    let add x =
-      if not (mem x) then begin
-        glv.(!gcnt) <- x;
-        incr seqc;
-        gseq.(!gcnt) <- !seqc;
-        incr gcnt
-      end
-    in
-    let remove x =
-      let idx = ref (-1) in
-      for i = 0 to !gcnt - 1 do
-        if glv.(i) = x then idx := i
-      done;
-      if !idx >= 0 then begin
-        glv.(!idx) <- glv.(!gcnt - 1);
-        gseq.(!idx) <- gseq.(!gcnt - 1);
-        decr gcnt
-      end
-    in
-    add (Aig.node_of (Aig.fanin0 aig nd));
-    add (Aig.node_of (Aig.fanin1 aig nd));
+  let greedy_cut sc nd =
+    let s = next_stamp sc in
+    let gl = sc.gl and gseq = sc.gseq and mark = sc.mark in
+    sc.gn <- 0;
+    sc.gseqc <- 0;
+    gadd sc s (Aig.node_of (Aig.fanin0 aig nd));
+    gadd sc s (Aig.node_of (Aig.fanin1 aig nd));
     let continue = ref true in
     let steps = ref 0 in
     while !continue && !steps < 64 do
       incr steps;
-      (* pick the expandable leaf with the smallest growth *)
-      let best = ref (-1) in
+      let bi = ref (-1) in
       let bg = ref 0 and bb = ref 0 and bs = ref 0 in
-      for i = 0 to !gcnt - 1 do
-        let leaf = glv.(i) in
+      for i = 0 to sc.gn - 1 do
+        let leaf = gl.(i) in
         if Aig.is_and aig leaf then begin
           let f0 = Aig.node_of (Aig.fanin0 aig leaf) in
           let f1 = Aig.node_of (Aig.fanin1 aig leaf) in
           let growth =
-            (if mem f0 || f0 = leaf then 0 else 1)
-            + (if mem f1 || f1 = leaf then 0 else 1)
+            (if mark.(f0) = s then 0 else 1)
+            + (if mark.(f1) = s then 0 else 1)
             - 1
           in
-          if !gcnt + growth <= k then begin
-            let bucket = Hashtbl.hash leaf land 15 in
+          if sc.gn + growth <= cut_size then begin
+            let b = Char.code (Bytes.unsafe_get bucket leaf) in
             if
-              !best < 0
+              !bi < 0
               || growth < !bg
-              || (growth = !bg
-                 && (bucket < !bb || (bucket = !bb && gseq.(i) > !bs)))
+              || (growth = !bg && (b < !bb || (b = !bb && gseq.(i) > !bs)))
             then begin
-              best := leaf;
+              bi := i;
               bg := growth;
-              bb := bucket;
+              bb := b;
               bs := gseq.(i)
             end
           end
         end
       done;
-      if !best < 0 then continue := false
+      if !bi < 0 then continue := false
       else begin
-        let leaf = !best in
-        remove leaf;
-        add (Aig.node_of (Aig.fanin0 aig leaf));
-        add (Aig.node_of (Aig.fanin1 aig leaf))
+        let leaf = gl.(!bi) and last = sc.gn - 1 in
+        mark.(leaf) <- 0;
+        gl.(!bi) <- gl.(last);
+        gseq.(!bi) <- gseq.(last);
+        sc.gn <- last;
+        gadd sc s (Aig.node_of (Aig.fanin0 aig leaf));
+        gadd sc s (Aig.node_of (Aig.fanin1 aig leaf))
       end
     done;
-    let arr = Array.sub glv 0 !gcnt in
-    Array.sort compare arr;
-    arr
+    for i = 1 to sc.gn - 1 do
+      let x = gl.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && gl.(!j) > x do
+        gl.(!j + 1) <- gl.(!j);
+        decr j
+      done;
+      gl.(!j + 1) <- x
+    done
   in
-  (* Small cuts: use the priority-cut enumeration (several candidate cones
-     per node, like ABC's rewrite) plus the greedy reconvergent cut, which
-     the enumeration's preference for small cuts can crowd out; large
-     cuts: one greedy reconvergent cut per node (like ABC's refactor).
-     Each priority cut is paired with its function, read straight out of
-     the enumeration; [None] (the greedy cut) falls back to the cone
-     walk. *)
-  let enum_cuts : ts_scratch -> int -> (int array * Tt.t option) list =
-    if cut_size <= 6 then begin
-      let cs = Cut.compute_packed ~stats:st aig ~k:cut_size ~limit:8 in
-      fun sc nd ->
-        let prio = ref [] in
-        for j = Cut.num_cuts cs nd - 1 downto 0 do
-          let m = Cut.cut_nleaves cs nd j in
-          if m >= 2 then
-            prio :=
-              (Cut.cut_leaves cs nd j, Some (Tt.of_bits m (Cut.cut_tt cs nd j)))
-              :: !prio
-        done;
-        let prio = !prio in
-        let g = greedy_cut_ts sc nd cut_size in
-        if Array.length g >= 2 && not (List.exists (fun (l, _) -> l = g) prio)
-        then (g, None) :: prio
-        else prio
+  (* The function of [x] over the cut in the slots [0, k) of the walk
+     stamped [s], [kw] words per slot; returns [x]'s slot.  Every node the
+     walk reaches below a greedy cut's root was expanded, so [nslots]
+     suffices. *)
+  let rec tt_walk sc s kw x =
+    if sc.mark.(x) = s then sc.slot.(x)
+    else begin
+      let f0 = Aig.fanin0 aig x and f1 = Aig.fanin1 aig x in
+      let a = tt_walk sc s kw (Aig.node_of f0) in
+      let b = tt_walk sc s kw (Aig.node_of f1) in
+      let ca = if Aig.is_compl f0 then half_mask else 0 in
+      let cb = if Aig.is_compl f1 then half_mask else 0 in
+      let d = sc.next_slot in
+      sc.next_slot <- d + 1;
+      let tt = sc.tt in
+      for w = 0 to (2 * kw) - 1 do
+        tt.((2 * d * kw) + w) <-
+          (tt.((2 * a * kw) + w) lxor ca) land (tt.((2 * b * kw) + w) lxor cb)
+      done;
+      sc.mark.(x) <- s;
+      sc.slot.(x) <- d;
+      d
     end
-    else fun sc nd ->
-      let c = greedy_cut_ts sc nd cut_size in
-      if Array.length c >= 2 then [ (c, None) ] else []
+  in
+  (* The function of [nd] over the greedy cut [sc.gl.(0 .. k-1)]; returns
+     its slot, [kw] words. *)
+  let greedy_tt sc nd k kw =
+    let s = next_stamp sc in
+    let tt = sc.tt in
+    for v = 0 to k - 1 do
+      let leaf = sc.gl.(v) in
+      sc.mark.(leaf) <- s;
+      sc.slot.(leaf) <- v;
+      for w = 0 to kw - 1 do
+        let o = 2 * ((v * kw) + w) in
+        if v < 6 then begin
+          tt.(o) <- var_lo.(v);
+          tt.(o + 1) <- var_hi.(v)
+        end
+        else begin
+          let x = if w land (1 lsl (v - 6)) <> 0 then half_mask else 0 in
+          tt.(o) <- x;
+          tt.(o + 1) <- x
+        end
+      done
+    done;
+    sc.next_slot <- k;
+    tt_walk sc s kw nd
+  in
+  (* Small cuts: the priority-cut enumeration (several candidate cones per
+     node, like ABC's rewrite) plus the greedy reconvergent cut, which the
+     enumeration's preference for small cuts can crowd out; large cuts:
+     one greedy reconvergent cut per node (like ABC's refactor).  Each
+     priority cut's function is read straight out of the enumeration. *)
+  let cs =
+    if cut_size <= 6 then
+      Some (Cut.compute_packed ~stats:st aig ~k:cut_size ~limit:8)
+    else None
   in
   (* The sweep runs in two phases per window of node ids.
 
@@ -383,103 +497,193 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10) ?stats ?(jobs = 1)
      cone functions, ISOP factoring, MFFC/death counts.  All of it reads
      only the immutable source graph and [refs], so nodes are
      independent: {!Par.run} chunks a window across domains with
-     disjoint writes into the [analysis] slots, and the values are
+     disjoint writes into the window's slots, and the values are
      identical whatever [jobs] is (the DLS form cache only memoizes a
      pure function).
 
      Phase B (sequential): the dry-run strash-aware costing and the
      commit into [fresh] — inherently ordered, because cost and
-     replacement depend on everything committed so far.  Keeping phase B
-     byte-for-byte the old loop is what makes [--jobs n] output
-     identical to [--jobs 1].
+     replacement depend on everything committed so far, so [--jobs n]
+     output is identical to [--jobs 1].
 
-     Candidates are scored and sorted in phase A; only the first 12
-     (the dry-run budget below) are kept, bounding a window's analysis
-     memory at a few thousand small tuples. *)
-  let analyze sc nd =
-    if (not (Aig.is_and aig nd)) || refs.(nd) = 0 then (0, [])
-    else begin
-      let mffc = mffc_size_ts sc nd in
-      (* Candidates over all cuts and both output polarities.  The value
-         of a candidate is (nodes that die) - (strash-aware rebuild
-         cost); the plain copy scores 0, so any positive score is a
-         strict improvement. *)
-      let candidates =
-        List.concat_map
-          (fun (cut, tt_opt) ->
-            let deaths = deaths_in_cone_ts sc nd cut in
-            let tt =
-              match tt_opt with
-              | Some t -> t
-              | None -> Aig.tt_of_cut aig (Aig.lit_of_node nd) cut
-            in
-            List.filter_map
-              (fun (t, neg) ->
-                match pick_form t with
-                | Some (f, est) -> Some (cut, f, neg, deaths, deaths - est)
-                | None -> None)
-              [ (tt, false); (Tt.bnot tt, true) ])
-          (enum_cuts sc nd)
-      in
-      let candidates =
-        List.sort
-          (fun (_, _, _, _, a) (_, _, _, _, b) -> compare b a)
-          candidates
-      in
-      let rec take i = function
-        | (cut, form, neg, deaths, _) :: tl when i < 12 ->
-            (cut, form, neg, deaths) :: take (i + 1) tl
-        | _ -> []
-      in
-      (mffc, take 0 candidates)
+     A window's candidates sit in flat arrays, [ccap] slots per node, in
+     the order of a stable sort by descending score: the cut order (the
+     greedy cut first, then the priority cuts), each cut's function
+     before its complement, and at most [ccap] kept. *)
+  let window = 1 lsl 15 in
+  let wn = min window (max 1 (n - 1)) in
+  let a_mffc = Array.make wn 0 in
+  let a_n = Array.make wn 0 in
+  let a_form = Array.make (wn * ccap) (Factored.Const false) in
+  let a_cut = Array.make (wn * ccap) 0 in
+  (* deaths * 2 + (1 if the complement was factored) *)
+  let a_info = Array.make (wn * ccap) 0 in
+  let a_glv = Array.make (wn * gmax) 0 in
+  let a_glen = Array.make wn 0 in
+  (* Keeps candidate (cut [cid], [form], [neg], [deaths]) of window node
+     [i] if its [score] ranks among the first [ccap]: after every kept
+     candidate scoring at least as high. *)
+  let insert sc i cid form neg deaths score =
+    let cnt = a_n.(i) and base = i * ccap in
+    let p = ref cnt in
+    while !p > 0 && sc.score.(!p - 1) < score do
+      decr p
+    done;
+    if !p < ccap then begin
+      for q = min cnt (ccap - 1) downto !p + 1 do
+        sc.score.(q) <- sc.score.(q - 1);
+        a_form.(base + q) <- a_form.(base + q - 1);
+        a_cut.(base + q) <- a_cut.(base + q - 1);
+        a_info.(base + q) <- a_info.(base + q - 1)
+      done;
+      sc.score.(!p) <- score;
+      a_form.(base + !p) <- form;
+      a_cut.(base + !p) <- cid;
+      a_info.(base + !p) <- (2 * deaths) + if neg then 1 else 0;
+      a_n.(i) <- min (cnt + 1) ccap
     end
   in
-  let commit nd (mffc, cands) =
+  let cand sc i cid neg deaths = function
+    | Some (f, est) -> insert sc i cid f neg deaths (deaths - est)
+    | None -> ()
+  in
+  let form_cands sc c i cid deaths t =
+    cand sc i cid false deaths (pick_form c t);
+    cand sc i cid true deaths (pick_form c (Tt.bnot t))
+  in
+  (* Candidates of window node [i] = [nd] over the greedy cut in [sc.gl]
+     ([cid = -1]) or priority cut [cid], of [m] leaves. *)
+  let cut_cands sc c i nd cid m =
+    let s = next_stamp sc in
+    (match cs with
+    | Some cs when cid >= 0 ->
+        for l = 0 to m - 1 do
+          sc.mark.(Cut.cut_leaf cs nd cid l) <- s
+        done
+    | _ ->
+        for l = 0 to m - 1 do
+          sc.mark.(sc.gl.(l)) <- s
+        done);
+    let deaths = dead sc s true nd in
+    match cs with
+    | Some cs when cid >= 0 ->
+        form_cands sc c i cid deaths (Tt.of_bits m (Cut.cut_tt cs nd cid))
+    | _ ->
+        let kw = if m <= 6 then 1 else 1 lsl (m - 6) in
+        let r = greedy_tt sc nd m kw in
+        let tt = sc.tt in
+        let word w =
+          Int64.logor
+            (Int64.of_int tt.(2 * ((r * kw) + w)))
+            (Int64.shift_left (Int64.of_int tt.((2 * ((r * kw) + w)) + 1)) 32)
+        in
+        form_cands sc c i cid deaths (Tt.of_words m (Array.init kw word))
+  in
+  let analyze sc c i nd =
+    a_n.(i) <- 0;
+    if Aig.is_and aig nd && refs.(nd) > 0 then begin
+      a_mffc.(i) <- dead sc (next_stamp sc) false nd;
+      greedy_cut sc nd;
+      let gk = sc.gn in
+      a_glen.(i) <- gk;
+      Array.blit sc.gl 0 a_glv (i * gmax) gk;
+      match cs with
+      | None -> if gk >= 2 then cut_cands sc c i nd (-1) gk
+      | Some cs ->
+          let same j =
+            Cut.cut_nleaves cs nd j = gk
+            &&
+            let r = ref true in
+            for l = 0 to gk - 1 do
+              if Cut.cut_leaf cs nd j l <> sc.gl.(l) then r := false
+            done;
+            !r
+          in
+          let dup = ref false in
+          for j = 0 to Cut.num_cuts cs nd - 1 do
+            if same j then dup := true
+          done;
+          if gk >= 2 && not !dup then cut_cands sc c i nd (-1) gk;
+          for j = 0 to Cut.num_cuts cs nd - 1 do
+            let m = Cut.cut_nleaves cs nd j in
+            if m >= 2 then cut_cands sc c i nd j m
+          done
+    end
+  in
+  let lits = Array.make gmax 0 in
+  let stk = ivec_make 64 in
+  let load_lits i nd cid =
+    match cs with
+    | Some cs when cid >= 0 ->
+        let m = Cut.cut_nleaves cs nd cid in
+        for l = 0 to m - 1 do
+          lits.(l) <- map.(Cut.cut_leaf cs nd cid l)
+        done;
+        m
+    | _ ->
+        let m = a_glen.(i) in
+        for l = 0 to m - 1 do
+          lits.(l) <- map.(a_glv.((i * gmax) + l))
+        done;
+        m
+  in
+  let commit i nd =
     let replaced = ref false in
     if refs.(nd) > 0 then begin
-      (* Dry-run candidates (strash-aware cost), keep the best score. *)
-      let best = ref None in
-      List.iter
-        (fun (cut, form, neg, deaths) ->
-          let leaf_lits =
-            Array.map (fun nd' -> lit_map_get map (Aig.lit_of_node nd')) cut
-          in
-          let ckpt = Aig.checkpoint fresh in
-          ignore (build_form fresh leaf_lits form);
-          let cost = Aig.checkpoint fresh - ckpt in
-          Aig.rollback fresh ckpt;
-          (* Optimistic score (full MFFC as savings) with the real
-             deaths as tie-breaker, preferring larger cuts: enables
-             cross-node sharing that per-node accounting cannot see;
-             the pass-level guard bounds the risk. *)
-          let score = (mffc - cost, deaths - cost, Array.length cut) in
-          let ok =
-            if zero_gain then mffc - cost >= 0 && deaths - cost >= -1
-            else mffc - cost > 0 && deaths - cost >= 0
-          in
-          if ok then
-            match !best with
-            | Some (sc, _, _, _) when sc >= score -> ()
-            | _ -> best := Some (score, cut, form, neg))
-        cands;
-      match !best with
-      | Some (_, cut, form, neg) ->
-          let leaf_lits =
-            Array.map (fun nd' -> lit_map_get map (Aig.lit_of_node nd')) cut
-          in
-          let l = build_form fresh leaf_lits form in
-          Hashtbl.replace map nd (if neg then Aig.lnot l else l);
-          replaced := true
-      | None -> ()
+      let mffc = a_mffc.(i) in
+      (* Dry-run candidates (strash-aware cost), keep the best score:
+         optimistic (full MFFC as savings) with the real deaths as
+         tie-breaker, preferring larger cuts — it enables cross-node
+         sharing that per-node accounting cannot see, and the pass-level
+         guard bounds the risk.  A dry run stops as soon as its cost
+         passes what the candidate must meet to be accepted and to beat
+         the best so far. *)
+      let best = ref (-1) and bm = ref 0 and bd = ref 0 and bl = ref 0 in
+      for c = 0 to a_n.(i) - 1 do
+        let q = (i * ccap) + c in
+        let deaths = a_info.(q) asr 1 in
+        let m = load_lits i nd a_cut.(q) in
+        let bound =
+          if zero_gain then min mffc (deaths + 1) else min (mffc - 1) deaths
+        in
+        let bound = if !best >= 0 then min bound (mffc - !bm) else bound in
+        let ckpt = Aig.checkpoint fresh in
+        stk.len <- 0;
+        let cost =
+          match build_form fresh (ckpt + bound) stk lits a_form.(q) with
+          | _ -> Aig.checkpoint fresh - ckpt
+          | exception Exit -> bound + 1
+        in
+        Aig.rollback fresh ckpt;
+        if cost <= bound then begin
+          let sm = mffc - cost and sd = deaths - cost in
+          if
+            !best < 0
+            || sm > !bm
+            || (sm = !bm && (sd > !bd || (sd = !bd && m > !bl)))
+          then begin
+            best := c;
+            bm := sm;
+            bd := sd;
+            bl := m
+          end
+        end
+      done;
+      if !best >= 0 then begin
+        let q = (i * ccap) + !best in
+        ignore (load_lits i nd a_cut.(q));
+        stk.len <- 0;
+        let l = build_form fresh max_int stk lits a_form.(q) in
+        map.(nd) <- (if a_info.(q) land 1 = 1 then Aig.lnot l else l);
+        replaced := true
+      end
     end;
     if not !replaced then begin
       let a = lit_map_get map (Aig.fanin0 aig nd) in
       let b = lit_map_get map (Aig.fanin1 aig nd) in
-      Hashtbl.replace map nd (Aig.mk_and fresh a b)
+      map.(nd) <- Aig.mk_and fresh a b
     end
   in
-  let window = 1 lsl 15 in
-  let analysis = Array.make (min window (max 1 (n - 1))) (0, []) in
   let scratches = Array.make (Par.width ~jobs) None in
   let scratch w =
     match scratches.(w) with
@@ -494,13 +698,13 @@ let refactor_impl ?(zero_gain = false) ?(cut_size = 10) ?stats ?(jobs = 1)
     let w1 = min n (!w0 + window) in
     let base = !w0 in
     Par.run ~jobs ~n:(w1 - base) (fun w lo hi ->
-        let sc = scratch w in
+        let sc = scratch w and c = Domain.DLS.get form_cache in
         for i = lo to hi - 1 do
-          analysis.(i) <- analyze sc (base + i)
+          analyze sc c i (base + i)
         done);
     for i = 0 to w1 - base - 1 do
       let nd = base + i in
-      if Aig.is_and aig nd then commit nd analysis.(i)
+      if Aig.is_and aig nd then commit i nd
     done;
     w0 := w1
   done;

@@ -10,16 +10,27 @@
     - {!resyn2rs} — the composed script.
 
     Every pass returns a fresh, structurally hashed, dead-node-free AIG
-    that is combinationally equivalent to its input (tested by CEC). *)
+    that is combinationally equivalent to its input (tested by CEC).
+
+    A pass keeps its state in flat per-pass arrays: the source-to-rebuilt
+    node map and balance's levels are [int] arrays, and no per-node hash
+    table is built.  The cut-based passes dry-run each candidate by
+    building it into the rebuilt graph and rolling it back; a dry run
+    stops as soon as its new-node count passes the bound the candidate
+    must meet — to be accepted at all, and to beat the best candidate so
+    far — since past it the candidate can be neither.  The choices, and
+    so the output, are those of the full dry run. *)
 
 val balance : Aig.t -> Aig.t
 
 (** The cut-based passes read each priority cut's function straight out
-    of the packed enumeration ({!Cut.compute_packed}) and keep their
-    per-node bookkeeping in timestamp-stamped scratch arrays.  An
-    optional [stats] record accumulates the enumeration's hot-path
-    counters across the pass (and across every sub-pass of the composed
-    scripts).
+    of the packed enumeration ({!Cut.compute_packed}), compute the greedy
+    cut's function word by word in per-chunk scratch, and keep their
+    per-node bookkeeping in timestamp-stamped scratch arrays.  Factored
+    forms are memoized per domain, in a table bounded by entries and by
+    truth-table words.  An optional [stats] record accumulates the
+    enumeration's hot-path counters across the pass (and across every
+    sub-pass of the composed scripts).
 
     [jobs] (default 1) runs each pass's per-node candidate analysis — cut
     enumeration, cone functions, ISOP factoring, MFFC accounting — across

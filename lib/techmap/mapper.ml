@@ -193,23 +193,28 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
      hot loop touches no heap records. *)
   let climit = cut_limit in
   let t0 = now () in
+  let cs = Cut.compute_packed ~stats aig ~k ~limit:climit in
+  (* [f j m] for every cut [j] of [nd] but the trivial one, canonical
+     order, [m] structural leaves. *)
+  let iter_cuts nd f =
+    for j = 0 to Cut.num_cuts cs nd - 1 do
+      let m = Cut.cut_nleaves cs nd j in
+      if not (m = 1 && Cut.cut_leaf cs nd j 0 = nd) then f j m
+    done
+  in
   (* Candidate iterator, canonical order; [kf m s key sup leaf_at]: m
      structural leaves ([leaf_at i]), support [sup] into them, function
      [key] over the support. *)
-  let cs = Cut.compute_packed ~stats aig ~k ~limit:climit in
   let iter_cands nd kf =
-    for j = 0 to Cut.num_cuts cs nd - 1 do
-      let m = Cut.cut_nleaves cs nd j in
-      if not (m = 1 && Cut.cut_leaf cs nd j 0 = nd) then begin
+    iter_cuts nd (fun j m ->
         let key, sup = Npn.shrink (Cut.cut_tt cs nd j) m in
-        kf m (Array.length sup) key sup (Cut.cut_leaf cs nd j)
-      end
-    done
+        kf m (Array.length sup) key sup (Cut.cut_leaf cs nd j))
   in
-  (* Pass A (parallel): count candidates and leaf words per node; pass B
-     (parallel) re-enumerates and fills the disjoint per-node ranges.
-     Counting twice avoids materializing the seed's transient per-node
-     lists next to the arena. *)
+  (* Pass A (parallel): count candidates and leaf words per node, reading
+     only each cut's support size; pass B (parallel) re-enumerates,
+     shrinks and fills the disjoint per-node ranges.  Counting twice
+     avoids materializing the seed's transient per-node lists next to the
+     arena. *)
   let c_cnt = Array.make n 0 in
   let l_cnt = Array.make n 0 in
   let jobs = params.jobs in
@@ -217,9 +222,10 @@ let map_with_stats ?(params = default_params) ?phase lib aig =
       for nd = lo to hi - 1 do
         if Aig.is_and aig nd then begin
           let nc = ref 0 and nl = ref 0 in
-          iter_cands nd (fun m s _key _sup _leaf_at ->
+          iter_cuts nd (fun j m ->
+              let s = Npn.support_size (Cut.cut_tt cs nd j) m in
               incr nc;
-              nl := !nl + m + (if s < m then s else 0));
+              nl := !nl + m + if s < m then s else 0);
           c_cnt.(nd) <- !nc;
           l_cnt.(nd) <- !nl
         end

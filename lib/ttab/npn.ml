@@ -111,6 +111,18 @@ let canonical k t =
   enumerate k t (fun v _ -> if not (ule !best v) then best := v);
   !best
 
+(* [t] depends on in-word variable [i] iff some [x_i = 0] position differs
+   from its [x_i = 1] partner, i.e. iff [flip t i <> t]. *)
+let depends t i =
+  Int64.(logand (logxor t (shift_right_logical t (1 lsl i))) mask0.(i)) <> 0L
+
+let support_size t m =
+  let s = ref 0 in
+  for i = 0 to m - 1 do
+    if depends t i then incr s
+  done;
+  !s
+
 (* Word-level mirror of [Tt.shrink_to_support] for replicated words.  A word
    replicated at width [2^m] that does not depend on in-word variable [i] is
    invariant under [flip _ i]; once every support variable has been bubbled
@@ -119,7 +131,7 @@ let canonical k t =
 let shrink t m =
   let sup = ref [] in
   for i = m - 1 downto 0 do
-    if flip t i <> t then sup := i :: !sup
+    if depends t i then sup := i :: !sup
   done;
   let sup = Array.of_list !sup in
   let r = ref t in

@@ -48,6 +48,11 @@ val canonical_cached : int -> int64 -> int64
     [(k, t)].  Same result as [canonical]; use on hot paths where the same
     functions recur (mapper lint, paper coverage). *)
 
+val support_size : int64 -> int -> int
+(** [support_size t m]: the number of variables among [0..m-1] that the
+    [m]-variable function [t] depends on ([m <= 6]); the length of
+    {!shrink}'s support, without building it. *)
+
 val shrink : int64 -> int -> int64 * int array
 (** [shrink t m] removes the non-support variables of the [m]-variable
     function [t] ([m <= 6], replicated-word convention): returns

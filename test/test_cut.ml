@@ -221,7 +221,9 @@ let test_npn_shrink () =
     let small, sup = Tt.shrink_to_support t in
     let w, sup' = Npn.shrink (Tt.words t).(0) m in
     Alcotest.(check (array int)) "support" sup sup';
-    Alcotest.(check int64) "shrunk word" (Tt.words small).(0) w
+    Alcotest.(check int64) "shrunk word" (Tt.words small).(0) w;
+    Alcotest.(check int) "support size" (Array.length sup)
+      (Npn.support_size (Tt.words t).(0) m)
   done
 
 (* Synthesis is result-identical to the seed refactor sweep, across both

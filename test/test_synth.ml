@@ -202,6 +202,129 @@ let test_golden_resyn2rs () =
         (Digest.to_hex (Digest.string blif)))
     golden_resyn2rs
 
+(* Synthesis outputs beyond table3, recorded before the passes moved to
+   flat arrays and bounded dry runs: [rw] after [b] on the scale
+   workload's circuits and on mult-72, whose 40,825 nodes span two of the
+   analysis's 32k-node windows, at one and two domains; and the light
+   script on the verify workload's seven circuits. *)
+let golden_rewrite =
+  [
+    ("mult-64", "9472fc03889d2ac6c1d549a203425c07");
+    ("crypto-8", "dcabf96743d8452a23c6147b7f48f303");
+    ("mult-72", "e1aca94e38574a077452270329ea6875");
+  ]
+
+let golden_light =
+  [
+    ("C1355", "8b84524371d275bde154ad1c1307449a");
+    ("C1908", "01a779d0db0e8a9dd37f7c2b1ed34768");
+    ("t481", "0e3176565687f1d75d627a78c5a8cab5");
+    ("C3540", "4c206f7a2e2cb6d35fd5acf70f63ff59");
+    ("dalu", "f058981a70cfc7f5c46740eeca02160a");
+    ("add-64", "d632dccef1979b01fdf23f87a4706842");
+    ("i18", "254f3e9beff2f6c94b937ee58bd8b807");
+  ]
+
+let md5 aig = Digest.to_hex (Digest.string (Blif.to_string aig))
+
+let test_golden_rewrite () =
+  List.iter
+    (fun (name, digest) ->
+      let b = Synth.balance ((Bench_suite.find name).Bench_suite.build ()) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s jobs=%d" name jobs)
+            digest
+            (md5 (Synth.rewrite ~jobs b)))
+        [ 1; 2 ])
+    golden_rewrite
+
+let test_golden_light () =
+  List.iter
+    (fun (name, digest) ->
+      let aig = (Bench_suite.find name).Bench_suite.build () in
+      Alcotest.(check string) name digest (md5 (Synth.light aig)))
+    golden_light
+
+(* Random graphs of 6-10 inputs and 30-300 ANDs with reconvergence: every
+   fanin drawn from all literals built so far, through AND, XOR and MUX
+   gates, and outputs on the last few nodes. *)
+let random_graph seed =
+  let rng = Rand64.create (Int64.of_int seed) in
+  let g = Aig.create () in
+  let nin = 6 + Rand64.int rng 5 in
+  let target = 30 + Rand64.int rng 271 in
+  let lits = ref (Array.init nin (fun _ -> Aig.add_input g)) in
+  let nl = ref nin in
+  let pick () =
+    let l = !lits.(Rand64.int rng !nl) in
+    if Rand64.bool rng then Aig.lnot l else l
+  in
+  while Aig.num_ands g < target do
+    let x =
+      match Rand64.int rng 4 with
+      | 0 | 1 -> Aig.mk_and g (pick ()) (pick ())
+      | 2 -> Aig.mk_xor g (pick ()) (pick ())
+      | _ -> Aig.mk_mux g (pick ()) (pick ()) (pick ())
+    in
+    if !nl >= Array.length !lits then begin
+      let a = Array.make (2 * !nl) Aig.lit_false in
+      Array.blit !lits 0 a 0 !nl;
+      lits := a
+    end;
+    !lits.(!nl) <- x;
+    incr nl
+  done;
+  for i = 0 to 1 + Rand64.int rng 6 do
+    Aig.add_output g (Printf.sprintf "o%d" i) !lits.(!nl - 1 - i)
+  done;
+  Aig.cleanup g
+
+(* [rw] and [rf] at cut sizes 4, 6 and 10, each with and without [z],
+   give the seed sweep's BLIF.  Small graphs put candidates right at the
+   acceptance bounds (cost = mffc, cost = deaths + 1), where a dry run
+   that stopped one node early or late would pick differently.  The
+   counters show that the cases both replace nodes and leave graphs
+   unchanged. *)
+let passes_vs_ref =
+  List.concat_map
+    (fun zero_gain ->
+      ( Printf.sprintf "rw z=%b" zero_gain,
+        (fun a -> Synth.rewrite ~zero_gain a),
+        fun a -> Synth_ref.rewrite ~zero_gain a )
+      :: List.map
+           (fun cut_size ->
+             ( Printf.sprintf "rf cut=%d z=%b" cut_size zero_gain,
+               (fun a -> Synth.refactor ~zero_gain ~cut_size a),
+               fun a -> Synth_ref.refactor ~zero_gain ~cut_size a ))
+           [ 4; 6; 10 ])
+    [ false; true ]
+
+let replaced = ref 0
+let unchanged = ref 0
+
+let prop_matches_ref =
+  QCheck.Test.make ~name:"rw/rf = seed sweep on random graphs" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let aig = random_graph seed in
+      let src = Blif.to_string aig in
+      List.for_all
+        (fun (label, f, f_ref) ->
+          let out = Blif.to_string (f aig) in
+          if out = src then incr unchanged else incr replaced;
+          out = Blif.to_string (f_ref aig)
+          || QCheck.Test.fail_reportf "seed %d: %s differs" seed label)
+        passes_vs_ref)
+
+let test_matches_ref () =
+  replaced := 0;
+  unchanged := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 25 |]) prop_matches_ref;
+  Alcotest.(check bool) "some passes replace nodes" true (!replaced > 0);
+  Alcotest.(check bool) "some passes keep the graph" true (!unchanged > 0)
+
 let test_idempotent_enough () =
   (* running resyn2rs twice must not grow the graph *)
   let aig = random_aig 8 70 (Rand64.int rng 1000) in
@@ -229,5 +352,11 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_idempotent_enough;
           Alcotest.test_case "resyn2rs golden digests" `Quick
             test_golden_resyn2rs;
+          Alcotest.test_case "rw golden digests (scale, mult-72)" `Quick
+            test_golden_rewrite;
+          Alcotest.test_case "light golden digests (verify)" `Quick
+            test_golden_light;
+          Alcotest.test_case "rw/rf = seed sweep on random graphs" `Quick
+            test_matches_ref;
         ] );
     ]
